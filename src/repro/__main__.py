@@ -26,13 +26,6 @@ Commands:
   files, and the analysis lints; ``--emit-manifest``/``--attach``
   produce the manifest ``analysis`` section ``obs-diff`` gates;
 * ``workloads``      — list the 17 benchmarks;
-* ``serve``          — start the persistent compile/bench daemon on a
-  UNIX socket (see docs/SERVING.md);
-* ``serve-load``     — replay concurrent requests against a running
-  daemon and verify dedup + bit-identical results (now with
-  p50/p95/p99 latencies checked against the daemon's own histogram);
-* ``serve-metrics``  — scrape a running daemon's metrics registry
-  (Prometheus text format, or ``--json``);
 * ``perf-history``   — render the ``BENCH_<n>.json`` perf trajectory
   recorded by ``bench --record``; ``--check`` exits non-zero on a
   regression beyond threshold.
@@ -606,84 +599,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                      lint=not args.no_lint)
 
 
-def _default_socket() -> Path:
-    from .serve.protocol import DEFAULT_SOCKET_NAME
-
-    cache_dir = Path(os.environ.get(
-        "REPRO_CACHE_DIR", Path.home() / ".cache" / "repro-pldi95"))
-    return cache_dir / DEFAULT_SOCKET_NAME
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .serve import ReproDaemon
-
-    _apply_validate_flag(args)
-    _apply_sim_flag(args)
-    daemon = ReproDaemon(
-        socket_path=args.socket or _default_socket(),
-        jobs=_resolve_jobs(args.jobs),
-        drain_seconds=args.drain_seconds,
-        verbose=not args.quiet)
-    # SIGTERM/SIGINT handlers are installed on the loop inside
-    # serve(); both trigger the graceful drain + serve-manifest path.
-    asyncio.run(daemon.serve())
-    return 0
-
-
-def cmd_serve_load(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .serve.loadtest import DEFAULT_POINTS, run_load_test_sync
-
-    points = None
-    if args.points:
-        points = []
-        for token in args.points:
-            parts = token.split("/")
-            if len(parts) != 3:
-                raise SystemExit(
-                    f"repro serve-load: bad point {token!r} "
-                    f"(expected benchmark/scheduler/config)")
-            points.append(tuple(parts))
-    try:
-        report = run_load_test_sync(
-            args.socket or _default_socket(),
-            requests=args.requests,
-            connections=args.connections,
-            points=points or DEFAULT_POINTS,
-            verify_cold=args.verify_cold)
-    except (OSError, ConnectionError) as exc:
-        raise SystemExit(f"repro serve-load: cannot reach daemon: "
-                         f"{exc}")
-    if args.json:
-        print(_json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(f"{report.requests} requests over {report.connections} "
-              f"connections, {report.unique_points} unique points: "
-              f"{report.wall_seconds}s "
-              f"({report.requests_per_second} req/s)")
-        print(f"served: {report.served}  computed(delta): "
-              f"{report.computed_delta}  deduped: {report.deduped}  "
-              f"cached: {report.cached}")
-        if report.latency_seconds.get("count"):
-            lat = report.latency_seconds
-            print(f"latency: p50 {1e3 * lat['p50']:.1f}ms  "
-                  f"p95 {1e3 * lat['p95']:.1f}ms  "
-                  f"p99 {1e3 * lat['p99']:.1f}ms"
-                  + (f"  daemon-agreement: {report.latency_agreement}"
-                     if report.latency_agreement is not None else ""))
-        print(f"bit-identical: {report.identical}"
-              + (f"  cold-verified: {report.cold_verified}"
-                 if report.cold_verified is not None else ""))
-        for line in report.mismatches:
-            print(f"MISMATCH: {line}", file=sys.stderr)
-        for line in report.errors[:10]:
-            print(f"ERROR: {line}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def cmd_perf_history(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -724,36 +639,6 @@ def cmd_perf_history(args: argparse.Namespace) -> int:
     for line in check.regressions:
         print(f"REGRESSION: {line}", file=sys.stderr)
     return 0 if check.ok else 1
-
-
-def cmd_serve_metrics(args: argparse.Namespace) -> int:
-    import asyncio
-    import json as _json
-
-    from .obs import render_prometheus_snapshot
-    from .serve.client import ServeClient
-
-    if args.timeout <= 0:
-        raise SystemExit(
-            f"repro serve-metrics: --timeout must be > 0, "
-            f"got {args.timeout}")
-    try:
-        with ServeClient(args.socket or _default_socket(),
-                         timeout=args.timeout) as client:
-            payload = client.metrics()
-    except (OSError, ConnectionError, asyncio.TimeoutError) as exc:
-        raise SystemExit(
-            f"repro serve-metrics: cannot reach daemon: {exc}")
-    if args.json:
-        print(_json.dumps(
-            {"recording": payload.get("recording"),
-             "summary": payload.get("summary"),
-             "snapshot": payload.get("snapshot")},
-            indent=2, sort_keys=True))
-    else:
-        print(render_prometheus_snapshot(payload.get("snapshot", {})),
-              end="")
-    return 0
 
 
 def cmd_workloads(_args: argparse.Namespace) -> int:
@@ -902,44 +787,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_configs_flag(p_check, "base")
     p_check.set_defaults(fn=cmd_check)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="start the persistent compile/bench daemon")
-    p_serve.add_argument("--socket", default=None, metavar="PATH",
-                         help="UNIX socket path (default: "
-                              "<cache-dir>/serve.sock)")
-    p_serve.add_argument("--drain-seconds", type=float, default=5.0,
-                         help="grace period for in-flight requests on "
-                              "SIGTERM/SIGINT (default: 5)")
-    p_serve.add_argument("--quiet", action="store_true",
-                         help="suppress startup/shutdown log lines")
-    _add_jobs_flag(p_serve)
-    _add_validate_flag(p_serve)
-    _add_sim_flag(p_serve)
-    p_serve.set_defaults(fn=cmd_serve)
-
-    p_load = sub.add_parser(
-        "serve-load",
-        help="load-test a running daemon (dedup + bit-identity)")
-    p_load.add_argument("--socket", default=None, metavar="PATH",
-                        help="daemon socket (default: "
-                             "<cache-dir>/serve.sock)")
-    p_load.add_argument("--requests", "-n", type=int, default=1000,
-                        help="concurrent requests to replay "
-                             "(default: 1000)")
-    p_load.add_argument("--connections", "-c", type=int, default=32,
-                        help="multiplexed connections (default: 32)")
-    p_load.add_argument("--points", nargs="*", metavar="B/S/C",
-                        help="grid points to cycle through as "
-                             "benchmark/scheduler/config (default: a "
-                             "cheap 4-point mix)")
-    p_load.add_argument("--verify-cold", action="store_true",
-                        help="recompute each unique point in-process "
-                             "and require bit-identical payloads")
-    p_load.add_argument("--json", action="store_true",
-                        help="print the full report as JSON")
-    p_load.set_defaults(fn=cmd_serve_load)
-
     p_perf = sub.add_parser(
         "perf-history",
         help="render the BENCH_<n>.json perf trajectory; --check "
@@ -964,20 +811,6 @@ def main(argv: list[str] | None = None) -> int:
     p_perf.add_argument("--json", action="store_true",
                         help="print the raw records as JSON")
     p_perf.set_defaults(fn=cmd_perf_history)
-
-    p_metrics = sub.add_parser(
-        "serve-metrics",
-        help="scrape a running daemon's metrics registry")
-    p_metrics.add_argument("--socket", default=None, metavar="PATH",
-                           help="daemon socket (default: "
-                                "<cache-dir>/serve.sock)")
-    p_metrics.add_argument("--json", action="store_true",
-                           help="JSON snapshot + summary instead of "
-                                "Prometheus text format")
-    p_metrics.add_argument("--timeout", type=float, default=30.0,
-                           help="connect timeout in seconds "
-                                "(default: 30)")
-    p_metrics.set_defaults(fn=cmd_serve_metrics)
 
     p_work = sub.add_parser("workloads", help="list the workload")
     p_work.set_defaults(fn=cmd_workloads)

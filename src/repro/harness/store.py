@@ -1,20 +1,20 @@
 """Sharded on-disk result store, safe for concurrent writers.
 
 This extends the harness's original flat atomic cache (temp file +
-``os.replace`` in one directory) into the store the serving daemon and
-the parallel sweep share:
+``os.replace`` in one directory) into the store every sweep's workers
+share:
 
 * **Keys** carry everything that can change a result: benchmark,
   scheduler, grid config, the package *fingerprint* (a hash of every
   ``repro`` source file), a hash of the workload source, and a hash of
   the :class:`~repro.machine.MachineConfig` the point was simulated
-  under.  A resident daemon therefore can never serve a result computed
-  under stale sources or a different machine.
+  under.  A sweep therefore can never read a result computed under
+  other sources or a different machine.
 * **Sharding**: entries live in ``<root>/<dd>/`` where ``dd`` is the
   first byte (two hex digits) of the key digest — 256 directories, so
-  heavy concurrent writers (grid workers, daemon pool workers, several
-  daemons sharing one cache) spread their directory-entry churn instead
-  of serializing on one directory's mutex.
+  heavy concurrent writers (grid workers, several sweeps sharing one
+  cache) spread their directory-entry churn instead of serializing on
+  one directory's mutex.
 * **Atomic writes**: a temp file created next to the target and
   published with ``os.replace``; readers never observe a torn entry and
   racing writers of the same deterministic entry simply both publish
@@ -120,10 +120,6 @@ class StoreKey:
         return (f"{self.benchmark}-{self.scheduler}-{self.config}-"
                 f"{self.fingerprint}-{self.source_hash}-"
                 f"{self.machine_hash}.json")
-
-    @property
-    def point(self) -> tuple[str, str, str]:
-        return (self.benchmark, self.scheduler, self.config)
 
 
 class ResultStore:

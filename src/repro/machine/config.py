@@ -314,9 +314,9 @@ def config_from_json(data: dict) -> MachineConfig:
 def config_hash(config: MachineConfig) -> str:
     """Stable short digest of a machine description.
 
-    Part of every result-cache key: a resident daemon (or a runner
-    with a custom machine) must never serve a result simulated under a
-    different :class:`MachineConfig`.  Canonical JSON with sorted keys,
+    Part of every result-cache key: a runner with a custom machine
+    must never read a result simulated under a different
+    :class:`MachineConfig`.  Canonical JSON with sorted keys,
     so the digest is independent of dict insertion order and identical
     across processes.
     """

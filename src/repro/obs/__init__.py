@@ -20,7 +20,6 @@ from .metrics import (
     LATENCY_BUCKETS,
     REGISTRY,
     MetricsRegistry,
-    render_prometheus_snapshot,
     snapshot_summary,
 )
 from .observer import NULL_OBSERVER, Observer, TracingObserver
@@ -34,6 +33,5 @@ __all__ = [
     "StallProfile",
     "LoadScheduleRecord", "ScheduleProvenance",
     "DiffResult", "PointDelta", "diff_manifests", "diff_manifest_files",
-    "MetricsRegistry", "REGISTRY", "LATENCY_BUCKETS",
-    "render_prometheus_snapshot", "snapshot_summary",
+    "MetricsRegistry", "REGISTRY", "LATENCY_BUCKETS", "snapshot_summary",
 ]

@@ -3,9 +3,9 @@
 :mod:`repro.obs.trace` records *events* (spans with start/stop
 timestamps — expensive, opt-in, one trace per run).  This module is
 the complementary *counter* layer of the span/counter split in
-distributed-tracing practice: monotonic counters, gauges and
-fixed-bucket histograms cheap enough to leave enabled in a resident
-daemon, dependency-free, and mergeable across processes.
+distributed-tracing practice: monotonic counters and fixed-bucket
+histograms cheap enough to leave enabled on every run,
+dependency-free, and mergeable across processes.
 
 Design constraints, in order:
 
@@ -26,8 +26,7 @@ Design constraints, in order:
   construction (tested across real processes).
 
 Naming follows Prometheus conventions (``snake_case``, ``_total``
-suffix on counters, ``_seconds`` on latency histograms), and
-:func:`render_prometheus` emits the standard text exposition format.
+suffix on counters, ``_seconds`` on latency histograms).
 """
 
 from __future__ import annotations
@@ -86,29 +85,6 @@ class Counter:
                     f"counter {self._family.name} cannot decrease "
                     f"(inc({amount}))")
             self.value += amount
-
-
-class Gauge:
-    """One gauge child: a value that can go up and down."""
-
-    __slots__ = ("_family", "_key", "value")
-
-    def __init__(self, family: "Family", key: str) -> None:
-        self._family = family
-        self._key = key
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        if self._family.registry.recording:
-            self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self._family.registry.recording:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        if self._family.registry.recording:
-            self.value -= amount
 
 
 class Histogram:
@@ -173,9 +149,6 @@ class Histogram:
         }
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class Family:
     """A named metric family: one child per label set."""
 
@@ -201,7 +174,7 @@ class Family:
                 child = Histogram(self, key, self.bounds or
                                   LATENCY_BUCKETS)
             else:
-                child = _KINDS[self.kind](self, key)
+                child = Counter(self, key)
             self._children[key] = child
         return child
 
@@ -209,12 +182,6 @@ class Family:
     # empty-label child, so a scalar metric needs no labels() call.
     def inc(self, amount=1) -> None:
         self.labels().inc(amount)
-
-    def dec(self, amount=1.0) -> None:
-        self.labels().dec(amount)
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)
 
     def observe(self, value: float) -> None:
         self.labels().observe(value)
@@ -262,9 +229,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Family:
         return self._family(name, "counter", help=help)
 
-    def gauge(self, name: str, help: str = "") -> Family:
-        return self._family(name, "gauge", help=help)
-
     def histogram(self, name: str, help: str = "",
                   buckets: Optional[Sequence[float]] = None) -> Family:
         return self._family(name, "histogram", help=help,
@@ -310,8 +274,8 @@ class MetricsRegistry:
             family._children.clear()
 
     def snapshot_and_reset(self) -> dict:
-        """Snapshot then reset: the per-task delta frame a resident
-        pool worker ships back, so folding deltas never double-counts."""
+        """Snapshot then reset: the per-task delta frame a sweep pool
+        worker ships back, so folding deltas never double-counts."""
         snap = self.snapshot()
         self.reset()
         return snap
@@ -321,9 +285,8 @@ class MetricsRegistry:
         """Fold another registry's snapshot into this one.
 
         Counters and histogram buckets/sums/counts add (ints stay
-        ints, so bucket counts are exact); gauges take the incoming
-        value (last-write-wins — a remote gauge is a level, not a
-        flow).  Unknown families are created on the fly.
+        ints, so bucket counts are exact).  Unknown families are
+        created on the fly.
         """
         for name, entry in snapshot.get("families", {}).items():
             kind = entry["kind"]
@@ -334,8 +297,6 @@ class MetricsRegistry:
                 child = family.labels(**_parse_label_key(key))
                 if kind == "counter":
                     child.value += payload
-                elif kind == "gauge":
-                    child.value = payload
                 else:
                     if tuple(payload["bounds"]) != child.bounds:
                         raise ValueError(
@@ -347,39 +308,8 @@ class MetricsRegistry:
                     child.count += payload["count"]
 
     # ----------------------------------------------------------- export
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        lines: list[str] = []
-        for name, family in sorted(self.families().items()):
-            if family.help:
-                lines.append(f"# HELP {name} {family.help}")
-            lines.append(f"# TYPE {name} {family.kind}")
-            for key, child in sorted(family.children().items()):
-                labels = _parse_label_key(key)
-                if family.kind == "histogram":
-                    cumulative = 0
-                    for i, bound in enumerate(child.bounds):
-                        cumulative += child.bucket_counts[i]
-                        le = {**labels, "le": _format_value(bound)}
-                        lines.append(f"{name}_bucket"
-                                     f"{_prom_labels(le)} "
-                                     f"{cumulative}")
-                    cumulative += child.bucket_counts[-1]
-                    le = {**labels, "le": "+Inf"}
-                    lines.append(f"{name}_bucket{_prom_labels(le)} "
-                                 f"{cumulative}")
-                    lines.append(f"{name}_sum{_prom_labels(labels)} "
-                                 f"{_format_value(child.sum)}")
-                    lines.append(f"{name}_count"
-                                 f"{_prom_labels(labels)} "
-                                 f"{child.count}")
-                else:
-                    lines.append(f"{name}{_prom_labels(labels)} "
-                                 f"{_format_value(child.value)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def summary(self) -> dict:
-        """Compact JSON view: counters/gauges by name, histograms as
+        """Compact JSON view: counters by name, histograms as
         p50/p95/p99 summaries (the ``metrics`` manifest section)."""
         out: dict = {}
         for name, family in sorted(self.families().items()):
@@ -393,28 +323,6 @@ class MetricsRegistry:
                 out[name] = {key or "_": child.value
                              for key, child in sorted(children.items())}
         return out
-
-
-def _prom_labels(labels: dict) -> str:
-    if not labels:
-        return ""
-    body = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return "{" + body + "}"
-
-
-def _format_value(value) -> str:
-    if isinstance(value, float) and value == int(value) \
-            and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value) if not isinstance(value, str) else value
-
-
-def render_prometheus_snapshot(snapshot: dict) -> str:
-    """Render a serialized snapshot without a live registry (the CLI
-    scrapes the daemon as JSON and formats locally)."""
-    registry = MetricsRegistry(recording=True)
-    registry.merge(snapshot)
-    return registry.render_prometheus()
 
 
 def snapshot_summary(snapshot: dict) -> dict:

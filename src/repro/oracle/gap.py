@@ -88,9 +88,8 @@ from .solver import Budget
 #: Stable schema version of the per-point gap payload (CI asserts it).
 GAP_SCHEMA_VERSION = 1
 
-#: Store-key scheduler name for oracle results.  Shared with the serve
-#: daemon's store: any future ``oracle`` op must key results the same
-#: way for the dedup/caching guarantees to hold.
+#: Store-key scheduler name for oracle results, which share the result
+#: store with the experiment grid without colliding with its points.
 ORACLE_SCHEDULER = "oracle"
 
 #: Loops above this size are not searched; mirrors the pipeline gate.

@@ -231,19 +231,6 @@ def test_perf_history_bad_inputs_exit_with_one_liner(tmp_path):
     assert "\n" not in message
 
 
-def test_serve_metrics_bad_inputs_exit_with_one_liner(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["serve-metrics", "--timeout", "0"])
-    assert "--timeout must be > 0" in str(excinfo.value.code)
-
-    with pytest.raises(SystemExit) as excinfo:
-        main(["serve-metrics", "--socket",
-              str(tmp_path / "no-daemon.sock"), "--timeout", "2"])
-    message = str(excinfo.value.code)
-    assert message.startswith("repro serve-metrics: cannot reach")
-    assert "\n" not in message
-
-
 def test_compile_swp_flag(tmp_path, capsys):
     source = """
 array A[64] : float;

@@ -178,7 +178,8 @@ class TestValidate:
 
 
 class TestConfigIdentity:
-    """JSON round-trip + stable hashing (the daemon's cache-key leg)."""
+    """JSON round-trip + stable hashing (the result store's machine
+    key, and how a custom machine travels to sweep workers)."""
 
     def test_roundtrip_default(self):
         from repro.machine import config_from_json, config_to_json

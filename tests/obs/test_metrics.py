@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, snapshots, merge, exposition.
+"""The metrics registry: instruments, snapshots and merge.
 
 The load-bearing property is *exact cross-process merge*: counters and
 histogram bucket counts are plain ints, worker deltas fold into the
@@ -17,7 +17,6 @@ import pytest
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     MetricsRegistry,
-    render_prometheus_snapshot,
     snapshot_summary,
 )
 
@@ -51,17 +50,7 @@ def test_registering_same_name_returns_same_family():
     registry = fresh()
     assert registry.counter("x_total") is registry.counter("x_total")
     with pytest.raises(ValueError, match="already registered"):
-        registry.gauge("x_total")
-
-
-# -------------------------------------------------------------- gauges
-def test_gauge_set_inc_dec():
-    registry = fresh()
-    gauge = registry.gauge("depth")
-    gauge.set(7)
-    gauge.inc(2)
-    gauge.dec()
-    assert gauge.value == 8
+        registry.histogram("x_total")
 
 
 # ---------------------------------------------------------- histograms
@@ -101,13 +90,10 @@ def test_empty_histogram_percentiles_are_zero():
 def test_disabled_registry_records_nothing():
     registry = MetricsRegistry(recording=False)
     counter = registry.counter("c_total")
-    gauge = registry.gauge("g")
     hist = registry.histogram("h").labels()
     counter.inc(5)
-    gauge.set(3)
     hist.observe(1.0)
     assert counter.value == 0
-    assert gauge.value == 0.0
     assert hist.count == 0
 
 
@@ -124,7 +110,6 @@ def test_env_toggle(monkeypatch):
 def _bump(registry: MetricsRegistry) -> None:
     registry.counter("ops_total").labels(op="a").inc(3)
     registry.counter("ops_total").labels(op="b").inc(1)
-    registry.gauge("depth").set(4)
     hist = registry.histogram("lat", buckets=(0.01, 0.1))
     hist.observe(0.005)
     hist.observe(0.05)
@@ -152,8 +137,6 @@ def test_merge_adds_counters_and_buckets_exactly():
     hist = parent.histogram("lat").labels()
     assert hist.bucket_counts == [3, 3, 3]
     assert hist.count == 9
-    # Gauges are levels: last write wins.
-    assert parent.gauge("depth").value == 4
 
 
 def test_merge_rejects_mismatched_bounds():
@@ -180,29 +163,13 @@ def test_snapshot_and_reset_yields_deltas():
     assert parent.counter("ops_total").labels(op="a").value == 6
 
 
-# --------------------------------------------------- prometheus render
-def test_prometheus_text_format():
-    registry = fresh()
-    _bump(registry)
-    text = registry.render_prometheus()
-    assert "# TYPE ops_total counter" in text
-    assert 'ops_total{op="a"} 3' in text
-    assert "# TYPE lat histogram" in text
-    # Cumulative buckets plus the +Inf catch-all, sum and count.
-    assert 'lat_bucket{le="0.01"} 1' in text
-    assert 'lat_bucket{le="0.1"} 2' in text
-    assert 'lat_bucket{le="+Inf"} 3' in text
-    assert "lat_count 3" in text
-    assert text == render_prometheus_snapshot(registry.snapshot())
-
-
+# ------------------------------------------------------------- summary
 def test_snapshot_summary_compacts_histograms():
     registry = fresh()
     _bump(registry)
     summary = snapshot_summary(registry.snapshot())
     assert summary["ops_total"] == {'op="a"': 3, 'op="b"': 1}
     assert summary["lat"]["_"]["count"] == 3
-    assert summary["depth"]["_"] == 4
 
 
 # ------------------------------------------------- cross-process merge

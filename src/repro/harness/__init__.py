@@ -22,15 +22,6 @@ from .experiment import (
     options_for,
     parse_manifest,
 )
-from .perf import (
-    BENCH_SCHEMA,
-    PerfCheck,
-    append_record,
-    check_history,
-    format_history,
-    load_history,
-    record_from_manifest,
-)
 from .report import build_report, write_report
 from .store import ResultStore, StoreKey, atomic_write_json, source_hash
 from .tables import (
@@ -58,8 +49,6 @@ __all__ = [
     "RunTiming", "Manifest", "ManifestRun", "load_manifest",
     "parse_manifest",
     "arithmetic_mean", "geometric_mean", "options_for",
-    "BENCH_SCHEMA", "PerfCheck", "append_record", "check_history",
-    "format_history", "load_history", "record_from_manifest",
     "build_report", "write_report",
     "ResultStore", "StoreKey", "atomic_write_json", "source_hash",
     "ALL_TABLES", "TABLE_CONFIGS", "Table", "format_table",

@@ -94,9 +94,7 @@ MANIFEST_NAME = "run-manifest.json"
 #: p50/p95/p99 summary plus the raw mergeable snapshot), omitted when
 #: recording is off (``REPRO_METRICS=0``).  v6 added the optional
 #: ``analysis`` section (dependence/pressure summary from
-#: ``repro analyze --attach``/``--emit-manifest``, gated by
-#: ``repro obs-diff``: losing proving power or growing MAXLIVE is a
-#: regression).
+#: ``repro analyze --attach``, gated exactly by ``repro obs-diff``).
 MANIFEST_VERSION = 6
 
 
@@ -312,11 +310,6 @@ def _package_fingerprint(root: Optional[Path] = None) -> str:
         digest.update(len(body).to_bytes(8, "little"))
         digest.update(body)
     return digest.hexdigest()[:16]
-
-
-#: Atomic JSON writes now live in :mod:`repro.harness.store`; this
-#: alias keeps the original name importable.
-_atomic_write_json = atomic_write_json
 
 
 def _execute_grid_point(workload: Workload, scheduler: str,
@@ -714,7 +707,7 @@ class ExperimentRunner:
                 "summary": _METRICS.summary(),
                 "snapshot": _METRICS.snapshot(),
             }
-        _atomic_write_json(self.manifest_path, payload)
+        atomic_write_json(self.manifest_path, payload)
 
     def _modulo_aggregates(self, grid: list[tuple[str, str, str]]) -> dict:
         """Per-(scheduler, config) software-pipelining aggregates.

@@ -7,15 +7,10 @@ as JSONL and Chrome trace-event files loadable in Perfetto),
 per-static-load stall attribution from the simulator, and per-load
 schedule provenance from the block scheduler.  ``repro profile`` and
 the ``--trace`` flags on ``bench``/``tables``/``report`` wire it up;
-``repro obs-diff`` compares two run manifests for cycle regressions.
+``repro obs-diff`` gates a run manifest exactly against a baseline.
 """
 
-from .diff import (
-    DiffResult,
-    PointDelta,
-    diff_manifest_files,
-    diff_manifests,
-)
+from .diff import DiffResult, diff_manifest_files, diff_manifests
 from .metrics import (
     LATENCY_BUCKETS,
     REGISTRY,
@@ -32,6 +27,6 @@ __all__ = [
     "TraceRecorder", "Span",
     "StallProfile",
     "LoadScheduleRecord", "ScheduleProvenance",
-    "DiffResult", "PointDelta", "diff_manifests", "diff_manifest_files",
+    "DiffResult", "diff_manifests", "diff_manifest_files",
     "MetricsRegistry", "REGISTRY", "LATENCY_BUCKETS", "snapshot_summary",
 ]

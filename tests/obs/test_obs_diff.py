@@ -1,4 +1,4 @@
-"""Manifest diffing: regression detection between two runs."""
+"""Manifest diffing: the exact regression gate between two runs."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs import diff_manifest_files, diff_manifests
-from repro.obs.diff import MIN_INTERLOCK_DELTA
 
 
 def _manifest(points):
@@ -29,79 +28,75 @@ BASE = _manifest([
 
 
 def test_identical_manifests_are_ok():
-    result = diff_manifests(BASE, BASE, threshold=0.02)
+    result = diff_manifests(BASE, BASE)
     assert result.ok
-    assert len(result.deltas) == 3
-    assert "no regressions" in result.format()
+    assert result.compared == {"runs": 3}
+    assert "no differences" in result.format()
 
 
 def test_cycle_regression_flagged():
     new = _manifest([
-        ("ear", "balanced", "base", 103_000, 10_000),   # +3%
+        ("ear", "balanced", "base", 100_001, 10_000),
         ("ear", "traditional", "base", 120_000, 20_000),
         ("ora", "balanced", "base", 50_000, 500),
     ])
-    result = diff_manifests(BASE, new, threshold=0.02)
+    result = diff_manifests(BASE, new)
     assert not result.ok
-    (delta, reasons), = result.regressed
-    assert delta.key == "ear/balanced/base"
-    assert "cycles" in reasons[0]
-    assert "REGRESSED" in result.format()
+    assert result.failures == [
+        "CHANGED  runs ear/balanced/base: total_cycles "
+        "100000 -> 100001"]
+    assert "1 difference(s)" in result.format()
 
 
-def test_improvement_and_within_threshold_ok():
+def test_cycle_improvement_flagged():
+    # Cycles are deterministic: fewer is as much a finding as more
+    # (a fast engine that undercounts must not pass).
     new = _manifest([
-        ("ear", "balanced", "base", 95_000, 9_000),     # improvement
-        ("ear", "traditional", "base", 121_000, 20_000),  # +0.8%
-        ("ora", "balanced", "base", 50_000, 500),
-    ])
-    assert diff_manifests(BASE, new, threshold=0.02).ok
-
-
-def test_interlock_regression_flagged_above_min_delta():
-    worse = 10_000 + max(int(10_000 * 0.05), MIN_INTERLOCK_DELTA)
-    new = _manifest([
-        ("ear", "balanced", "base", 100_000, worse),
+        ("ear", "balanced", "base", 99_999, 10_000),
         ("ear", "traditional", "base", 120_000, 20_000),
         ("ora", "balanced", "base", 50_000, 500),
     ])
-    result = diff_manifests(BASE, new, threshold=0.02)
+    result = diff_manifests(BASE, new)
     assert not result.ok
-    (_, reasons), = result.regressed
-    assert "load interlocks" in reasons[0]
+    assert "100000 -> 99999" in result.failures[0]
 
 
-def test_tiny_absolute_interlock_delta_ignored():
-    # +4% relative but only +20 absolute cycles: below the floor.
+@pytest.mark.parametrize("interlock", [499, 501])
+def test_interlock_change_flagged_both_ways(interlock):
     new = _manifest([
         ("ear", "balanced", "base", 100_000, 10_000),
         ("ear", "traditional", "base", 120_000, 20_000),
-        ("ora", "balanced", "base", 50_000, 520),
+        ("ora", "balanced", "base", 50_000, interlock),
     ])
-    assert diff_manifests(BASE, new, threshold=0.02).ok
+    result = diff_manifests(BASE, new)
+    assert result.failures == [
+        f"CHANGED  runs ora/balanced/base: load_interlock_cycles "
+        f"500 -> {interlock}"]
 
 
-def test_missing_and_new_points_reported_not_fatal():
+def test_missing_points_fatal_new_points_not():
     new = _manifest([
         ("ear", "balanced", "base", 100_000, 10_000),
         ("alvinn", "balanced", "base", 70_000, 7_000),
     ])
-    result = diff_manifests(BASE, new, threshold=0.02)
-    assert result.ok
-    assert set(result.only_base) == {"ear/traditional/base",
-                                     "ora/balanced/base"}
-    assert result.only_new == ["alvinn/balanced/base"]
-    assert "MISSING" in result.format()
-    assert "NEW" in result.format()
+    result = diff_manifests(BASE, new)
+    assert not result.ok
+    assert result.failures == ["MISSING  runs ear/traditional/base",
+                               "MISSING  runs ora/balanced/base"]
+    assert result.only_new == ["runs alvinn/balanced/base"]
+    assert "NEW      runs alvinn/balanced/base" in result.format()
+    # New-only points alone never fail the gate.
+    only_ear = _manifest([("ear", "balanced", "base", 100_000, 10_000)])
+    assert diff_manifests(only_ear, new).ok
 
 
 def test_old_manifests_without_interlock_field_compare_cycles_only():
     base = {"version": 1, "runs": [{
         "benchmark": "ear", "scheduler": "balanced", "config": "base",
         "cached": True, "total_cycles": 100_000}]}
-    result = diff_manifests(base, BASE, threshold=0.02)
+    result = diff_manifests(base, BASE)
     assert result.ok
-    assert result.deltas[0].interlock_delta is None
+    assert result.compared == {"runs": 1}
 
 
 def test_diff_manifest_files(tmp_path):
@@ -136,8 +131,8 @@ def test_oracle_sections_identical_ok():
     new = dict(BASE, version=4, oracle=_oracle_section())
     result = diff_manifests(base, new)
     assert result.ok
-    assert result.oracle_points == 1
-    assert "1 oracle point(s)" in result.format()
+    assert result.compared["oracle"] == 1
+    assert "1 point(s) in oracle" in result.format()
 
 
 def test_oracle_gap_growth_flagged():
@@ -146,17 +141,15 @@ def test_oracle_gap_growth_flagged():
                oracle=_oracle_section(gap_balanced=1.2))
     result = diff_manifests(base, new)
     assert not result.ok
-    assert any("gap_balanced" in r for r in result.oracle_regressions)
-    assert "!! oracle:" in result.format()
+    assert result.failures == [
+        "CHANGED  oracle ear/base: gap_balanced 1.05 -> 1.2"]
 
 
-def test_oracle_tiny_gap_wiggle_ignored():
-    from repro.obs.diff import MIN_GAP_DELTA
-
+def test_oracle_tiny_gap_change_flagged():
     base = dict(BASE, version=4, oracle=_oracle_section())
-    new = dict(BASE, version=4, oracle=_oracle_section(
-        gap_balanced=1.05 + MIN_GAP_DELTA / 2))
-    assert diff_manifests(base, new).ok
+    new = dict(BASE, version=4,
+               oracle=_oracle_section(gap_traditional=1.3999))
+    assert not diff_manifests(base, new).ok
 
 
 def test_oracle_certification_drop_flagged():
@@ -164,8 +157,8 @@ def test_oracle_certification_drop_flagged():
     new = dict(BASE, version=4,
                oracle=_oracle_section(loops_beyond_heuristic=0))
     result = diff_manifests(base, new)
-    assert any("loops_beyond_heuristic dropped 1 -> 0" in r
-               for r in result.oracle_regressions)
+    assert any("loops_beyond_heuristic 1 -> 0" in r
+               for r in result.failures)
 
 
 def test_oracle_point_missing_from_new_flagged():
@@ -173,14 +166,14 @@ def test_oracle_point_missing_from_new_flagged():
     new = dict(BASE, version=4, oracle={"schema": 1, "budget": "n1000",
                                         "points": {}, "totals": {}})
     result = diff_manifests(base, new)
-    assert any("missing" in r for r in result.oracle_regressions)
+    assert result.failures == ["MISSING  oracle ear/base"]
 
 
 def test_manifests_without_oracle_sections_skip_gating():
     result = diff_manifests(BASE, BASE)
     assert result.ok
-    assert result.oracle_points == 0
-    assert "oracle point" not in result.format()
+    assert "oracle" not in result.compared
+    assert "in oracle" not in result.format()
 
 
 # ------------------------------------------------- analysis gating (v6)
@@ -199,10 +192,10 @@ def _analysis_section(**point_over):
 def test_analysis_sections_identical_ok():
     base = dict(BASE, version=6, analysis=_analysis_section())
     new = dict(BASE, version=6, analysis=_analysis_section())
-    result = diff_manifests(base, new, threshold=0.0)
+    result = diff_manifests(base, new)
     assert result.ok
-    assert result.analysis_points == 1
-    assert "1 analysis point(s)" in result.format()
+    assert result.compared["analysis"] == 1
+    assert "1 point(s) in analysis" in result.format()
 
 
 def test_analysis_independent_drop_flagged():
@@ -211,11 +204,9 @@ def test_analysis_independent_drop_flagged():
                analysis=_analysis_section(independent=35, unknown=1))
     result = diff_manifests(base, new)
     assert not result.ok
-    assert any("independent pairs dropped 36 -> 35" in r
-               for r in result.analysis_regressions)
-    assert any("unknown verdicts grew 0 -> 1" in r
-               for r in result.analysis_regressions)
-    assert "!! analysis:" in result.format()
+    assert result.failures == [
+        "CHANGED  analysis ear/balanced: independent 36 -> 35",
+        "CHANGED  analysis ear/balanced: unknown 0 -> 1"]
 
 
 def test_analysis_over_budget_growth_flagged():
@@ -223,24 +214,21 @@ def test_analysis_over_budget_growth_flagged():
     new = dict(BASE, version=6,
                analysis=_analysis_section(over_budget_blocks=2))
     result = diff_manifests(base, new)
-    assert any("over-budget blocks grew" in r
-               for r in result.analysis_regressions)
+    assert any("over_budget_blocks 0 -> 2" in r
+               for r in result.failures)
 
 
-def test_analysis_maxlive_growth_threshold():
+@pytest.mark.parametrize("field,value", [("max_live_f", 21),
+                                         ("max_live_i", 11)])
+def test_analysis_maxlive_change_flagged_both_ways(field, value):
     base = dict(BASE, version=6, analysis=_analysis_section())
-    grown = dict(BASE, version=6,
-                 analysis=_analysis_section(max_live_f=21))
-    # At threshold 0 any growth is a regression...
-    result = diff_manifests(base, grown, threshold=0.0)
-    assert any("max_live_f 20 -> 21" in r
-               for r in result.analysis_regressions)
-    # ...but a 5% growth passes a 10% tolerance.
-    assert diff_manifests(base, grown, threshold=0.10).ok
-    # Shrinking is never flagged.
-    shrunk = dict(BASE, version=6,
-                  analysis=_analysis_section(max_live_i=1))
-    assert diff_manifests(base, shrunk, threshold=0.0).ok
+    changed = dict(BASE, version=6,
+                   analysis=_analysis_section(**{field: value}))
+    result = diff_manifests(base, changed)
+    assert result.failures == [
+        f"CHANGED  analysis ear/balanced: {field} "
+        f"{base['analysis']['points']['ear/balanced'][field]} -> "
+        f"{value}"]
 
 
 def test_analysis_point_missing_from_new_flagged():
@@ -248,11 +236,20 @@ def test_analysis_point_missing_from_new_flagged():
     new = dict(BASE, version=6,
                analysis={"schema": 1, "points": {}, "totals": {}})
     result = diff_manifests(base, new)
-    assert any("missing" in r for r in result.analysis_regressions)
+    assert result.failures == ["MISSING  analysis ear/balanced"]
 
 
 def test_manifests_without_analysis_sections_skip_gating():
     result = diff_manifests(BASE, BASE)
     assert result.ok
-    assert result.analysis_points == 0
-    assert "analysis point" not in result.format()
+    assert "analysis" not in result.compared
+    assert "in analysis" not in result.format()
+
+
+def test_missing_section_fatal_new_section_not():
+    with_analysis = dict(BASE, version=6, analysis=_analysis_section())
+    result = diff_manifests(with_analysis, BASE)
+    assert result.failures == ["MISSING  analysis section"]
+    result = diff_manifests(BASE, with_analysis)
+    assert result.ok
+    assert result.compared == {"runs": 3}

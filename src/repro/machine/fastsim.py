@@ -7,24 +7,17 @@ Python-level readiness loop.  This module removes that tax for the
 paper's machine (single issue, one memory port, no stall attribution)
 by *compiling* each basic block to a specialized Python function:
 
-* **Full variants** inline the decoded fields as literals (register
-  slots, immediates, latencies, branch targets) and keep the cycle
-  counter symbolic: within a block the current cycle is ``t + K`` for
-  a compile-time constant ``K``, and ``t`` is only materialized when
-  an interlock or memory-system stall actually moves time.  Cache,
-  TLB, MSHR and branch-predictor interactions go through the same
-  model objects as the interpreter, so timing is bit-identical.
-* **Replay variants** memoize the steady state: once caches, TLBs and
-  the MSHRs have converged (every line/page a block touches is
-  resident and no miss is in flight), a block's memory-system
-  behaviour is a pure function of its entry state.  The replay
-  variant checks that convergence with cheap guards (tag compares,
-  dict membership, one "no miss outstanding" compare), *mutating
-  nothing* until every guard has passed, then executes the block with
-  batched metric updates and literal LRU refreshes.  Any guard
-  failure returns ``None`` and the driver falls back to the full
-  variant; 64 consecutive failures disable a block's replay variant
-  (cold blocks should not pay for their own guards).
+* **Timing mode** (:func:`build_engine`) emits one function per basic
+  block.  It inlines the decoded fields as literals (register slots,
+  immediates, latencies, branch targets) and keeps the cycle counter
+  symbolic: within a block the current cycle is ``t + K`` for a
+  compile-time constant ``K``, and ``t`` is only materialized when an
+  interlock or memory-system stall actually moves time.  Cache, TLB,
+  MSHR and branch-predictor interactions go through the same model
+  objects as the interpreter, so timing is bit-identical.  Blocks are
+  not memoized: a guarded steady-state variant doubles the generated
+  source and the build time, and on the paper's grid its guards fail
+  too often for simulation to gain (docs/INTERNALS.md §6).
 * **Profile mode** (:func:`run_profile`) executes architecturally
   only: registers, memory, branch outcomes, and the block/edge
   frequencies the compiler's trace picker needs — no timing, cache or
@@ -40,16 +33,8 @@ from __future__ import annotations
 from ..obs.metrics import REGISTRY as _METRICS
 from .simulator import SimulationError
 
-#: Engine counters (repro.obs.metrics).  Replay dispatch outcomes are
-#: tallied in plain local ints inside the hot driver loop and folded
-#: into the registry once at finalize; the code-object cache counters
-#: bump once per engine build.  Neither touches timing state.
-_M_REPLAY_HITS = _METRICS.counter(
-    "repro_fastsim_replay_hits_total",
-    "block executions served by a memoized replay variant")
-_M_REPLAY_MISSES = _METRICS.counter(
-    "repro_fastsim_replay_misses_total",
-    "replay guard failures that fell back to the full variant")
+#: Engine counters (repro.obs.metrics): the code-object cache counters
+#: bump once per engine build and never touch timing state.
 _M_CODE_HITS = _METRICS.counter(
     "repro_fastsim_code_cache_hits_total",
     "engine builds that reused a cached compiled code object")
@@ -64,19 +49,12 @@ _CLS = {"short_int": 8, "long_int": 9, "short_fp": 10, "long_fp": 11,
         "loads": 12, "stores": 13, "branches": 14}
 _NCTR = 15
 
-#: Consecutive guard failures after which a block's replay variant is
-#: dropped (reset on every success): blocks whose working set never
-#: converges should not pay guard cost forever.
-REPLAY_DISABLE_AFTER = 64
-
 _M64 = (1 << 64) - 1
 
 _BINOP = {11: "+", 12: "-", 13: "*", 16: "&", 17: "|", 18: "^",
           27: "+", 28: "-", 29: "*"}
 _CMPOP = {22: "==", 23: "!=", 24: "<", 25: "<=",
           31: "==", 32: "!=", 33: "<", 34: "<="}
-_FLDI2 = 37     # dead opcode slot: the interpreter rejects it at
-                # execution, so its presence forces the reference path
 
 
 def _leaders(decoded, extra=()):
@@ -107,7 +85,6 @@ class _Gen:
         #: (instruction classes, spills, L1 access totals) multiply out
         #: at finalize instead of running per call.
         self.blocks: list[tuple] = []
-        self.slot_of: dict[int, int] = {}
         self.inline_mem = (self.cfg.memory_model == "hierarchy"
                            and sim.l1d.assoc == 1)
         # When every page the program can touch fits in a TLB at once,
@@ -115,15 +92,13 @@ class _Gen:
         # the per-access dict reorder can be elided entirely.
         self.small_dspace = (((self.memb - 1) >> sim.dtlb.page_shift)
                              + 1 <= self.cfg.dtlb.entries)
-        self.small_ispace = (((len(self.d) * 4 - 1)
-                              >> sim.itlb.page_shift)
-                             + 1 <= self.cfg.itlb.entries)
 
     def w(self, ind, text):
         self.out.append(" " * ind + text)
 
-    def register_block(self, start, end):
-        """Assign *start*'s block a ctr slot; record static counts."""
+    def _batches(self, ind, start, end):
+        """Give the block a ctr slot and emit its one execution-count
+        bump; its static counts multiply out at finalize."""
         slot = _NCTR + len(self.blocks)
         counts = [0] * _NCTR
         nl = 0
@@ -141,9 +116,8 @@ class _Gen:
                     ni += 1
         self.blocks.append((slot, counts,
                             nl if self.inline_mem else 0, ni))
-        self.slot_of[start] = slot
         self.ctr.append(0)
-        return slot
+        self.w(ind, f"ctr[{slot}] += 1")
 
     # ------------------------------------------------------- readiness
     def _alu_value(self, ind, code, a, b, dread, target, pc):
@@ -196,14 +170,6 @@ class _Gen:
             w(ind, f"{target} = ({b}) if {a} {op} 0 else {dread}")
         else:                           # pragma: no cover - build_engine
             raise AssertionError(f"unsupported opcode code {code}")
-
-    # ---------------------------------------------------- class batches
-    def _batches(self, ind, start, end):
-        """One execution-count bump; static counts multiply at finalize."""
-        slot = self.slot_of.get(start)
-        if slot is None:
-            slot = self.register_block(start, end)
-        self.w(ind, f"ctr[{slot}] += 1")
 
     # -------------------------------------------------- fetch modelling
     def _icheck(self, ind, ad, count_access):
@@ -324,8 +290,7 @@ class _Gen:
         ind = 2
         self._batches(ind, start, end)
         needs_q, finals = self._prepass(start, end)
-        inline_mem = (cfg.memory_model == "hierarchy"
-                      and sim.l1d.assoc == 1)
+        inline_mem = self.inline_mem
         dsh = sim.dtlb.page_shift
         lsh = sim.l1d.line_shift
         lmask = sim.l1d.set_mask
@@ -346,13 +311,11 @@ class _Gen:
                 return (qv, "True" if fload else "False", dest_read)
             return (f"RDY[{slot}]", f"F[{slot}]", dest_read)
 
-        def check(kk, reads, dread=None):
-            kc = kk                     # block-relative position
+        def check(kc, reads, dread=None):
             ent = [rentry(s, kc) for s in reads]
             if dread is not None:
                 ent.append(rentry(dread, kc, dest_read=True))
-            self._readiness2(ind, K, [e for e in ent if e],
-                             li="ctr[0]", fi="ctr[1]")
+            self._readiness(ind, kc, [e for e in ent if e])
 
         def commit(ind):
             for slot, expr in shadow.items():
@@ -461,8 +424,7 @@ class _Gen:
                 check(K, srcs)
                 cond = val(srcs[0])
                 commit(ind)
-                self._branch(ind, p, code, cond, target, K,
-                             "lastL", "lastP")
+                self._branch(ind, p, code, cond, target, K)
                 return
             elif code == 9:             # HALT
                 commit(ind)
@@ -489,7 +451,7 @@ class _Gen:
         commit(ind)
         w(ind, f"return {end}, t + {K}, lastL, lastP")
 
-    def _branch(self, ind, p, code, cond, target, K, exL, exP):
+    def _branch(self, ind, p, code, cond, target, K):
         """Conditional terminator with the 2-bit predictor inlined.
 
         *cond* is the expression for the tested register value.
@@ -503,54 +465,32 @@ class _Gen:
         w(ind + 1, "if c < 3:")
         w(ind + 2, f"BP[{idx}] = c + 1")
         w(ind + 1, "if c >= 2:")
-        w(ind + 2, f"return {target}, t + {K + 2}, {exL}, {exP}")
+        w(ind + 2, f"return {target}, t + {K + 2}, lastL, lastP")
         w(ind + 1, "ctr[7] += 1")
         if pen:
             w(ind + 1, f"ctr[3] += {pen}")
-        w(ind + 1, f"return {target}, t + {K + 1 + pen}, {exL}, {exP}")
+        w(ind + 1, f"return {target}, t + {K + 1 + pen}, lastL, lastP")
         w(ind, "if c > 0:")
         w(ind + 1, f"BP[{idx}] = c - 1")
         w(ind, "if c >= 2:")
         w(ind + 1, "ctr[7] += 1")
         if pen:
             w(ind + 1, f"ctr[3] += {pen}")
-        w(ind + 1, f"return {p + 1}, t + {K + 1 + pen}, {exL}, {exP}")
-        w(ind, f"return {p + 1}, t + {K + 1}, {exL}, {exP}")
+        w(ind + 1, f"return {p + 1}, t + {K + 1 + pen}, lastL, lastP")
+        w(ind, f"return {p + 1}, t + {K + 1}, lastL, lastP")
 
-    # ---------------------------------------------------- replay blocks
-    def can_replay(self, start, end):
-        """Static eligibility for a guarded steady-state variant."""
-        if self.cfg.memory_model != "hierarchy":
-            return False                # stochastic latency is per-load
-        if self.sim.l1d.assoc != 1:
-            return False                # hits would shuffle LRU state
-        if not self.cfg.perfect_icache and self.sim.l1i.assoc != 1:
-            return False
-        seen_store = False
-        for p in range(start, end):
-            code = self.d[p][0]
-            if code == 9:
-                return False            # HALT blocks run once
-            if code in (2, 3):
-                seen_store = True
-            elif code <= 1 and seen_store:
-                # The compute phase reads memory before the commit
-                # phase applies the block's stores, so a load after a
-                # store could observe a stale value if they alias.
-                return False
-        return True
-
-    def _readiness2(self, ind, K, entries, li="li", fi="fi"):
+    def _readiness(self, ind, K, entries):
         """Scoreboard check over expression operands.
 
         *entries* is a list of ``(ready_expr, from_load_expr,
         is_dest_read)``; ``from_load_expr`` may be the literal
         ``"True"``/``"False"`` for in-block producers, which folds the
         attribution branches.  Interlock cycles accumulate into the
-        *li*/*fi* sink expressions (``ctr[...]`` slots for the full
-        variant, locals for the replay variant's deferred commit).
+        load/fixed interlock counter slots.
         """
         w = self.w
+        li = f"ctr[{_LI}]"
+        fi = f"ctr[{_FI}]"
         tk = f"t + {K}" if K else "t"
         dl = f" - {K}" if K else ""
         # An exact duplicate operand (same ready expr, same producer)
@@ -624,200 +564,6 @@ class _Gen:
         w(ind + 2, f"{fi} += s - t{dl}")
         w(ind + 1, f"t = s{dl}")
 
-    def emit_replay(self, name, start, end):
-        """Two-phase steady-state variant.
-
-        Phase 1 computes every value into SSA-style temporaries and
-        checks the convergence guards (lines/pages resident, no miss
-        in flight, addresses in bounds) without mutating anything; any
-        failure returns ``None``.  Phase 2 commits registers, memory,
-        scoreboard entries, LRU refreshes and batched counters, then
-        resolves the terminator with the predictor inlined.
-        """
-        d = self.d
-        w = self.w
-        cfg = self.cfg
-        sim = self.sim
-        w(1, f"def {name}(t, lastL, lastP):")
-        ind = 2
-        dsh = sim.dtlb.page_shift
-        lsh = sim.l1d.line_shift
-        lmask = sim.l1d.set_mask
-        l1d_lat = cfg.l1d.latency
-        has_load = any(d[p][0] <= 1 for p in range(start, end))
-        if has_load:
-            w(ind, "if SIM._mshr_max > t:")
-            w(ind + 1, "return None")   # a miss is still in flight
-        # Fetch guards: every line/page the block touches must be
-        # resident; only the entry line's memo test is dynamic.
-        n_interior = 0
-        entry_pg = None
-        interior_pages = {}             # p -> itlb page to refresh
-        if not cfg.perfect_icache:
-            ish = sim.l1i.line_shift
-            imask = sim.l1i.set_mask
-            psh = sim.itlb.page_shift
-            ad0 = start << 2
-            cl0 = ad0 >> ish
-            w(ind, "ia = 0")
-            w(ind, f"if lastL != {ad0 >> 5}:")
-            w(ind + 1, f"if {ad0 >> 13} != lastP"
-                       f" and {ad0 >> psh} not in IT:")
-            w(ind + 2, "return None")
-            w(ind + 1, f"ways = L1IW[{cl0 & imask}]")
-            w(ind + 1, f"if not ways or ways[0] != {cl0}:")
-            w(ind + 2, "return None")
-            w(ind + 1, "ia = 1")
-            entry_pg = (ad0 >> 13, ad0 >> psh)
-            for p in range(start + 1, end):
-                ad = p << 2
-                if (ad >> 5) == ((p - 1) << 2) >> 5:
-                    continue
-                n_interior += 1
-                cl = ad >> ish
-                w(ind, f"ways = L1IW[{cl & imask}]")
-                w(ind, f"if not ways or ways[0] != {cl}:")
-                w(ind + 1, "return None")
-                if (ad >> 13) != ((p - 1) << 2) >> 13:
-                    w(ind, f"if {ad >> psh} not in IT:")
-                    w(ind + 1, "return None")
-                    interior_pages[p] = ad >> psh
-            exL, exP = self._exit_fetch(start, end)
-        else:
-            exL, exP = "lastL", "lastP"
-        # ---- phase 1: pure compute + guards.
-        w(ind, "li = 0")
-        w(ind, "fi = 0")
-        shadow = {}                     # slot -> value expression
-        srdy = {}                       # slot -> (ready var, from_load)
-        commits = []                    # ordered phase-2 actions
-        n_loads = 0
-
-        def val(slot):
-            return shadow.get(slot, f"R[{slot}]")
-
-        def rentry(slot, dest_read=False):
-            if slot in srdy:
-                qv, fload = srdy[slot]
-                return (qv, "True" if fload else "False", dest_read)
-            return (f"RDY[{slot}]", f"F[{slot}]", dest_read)
-
-        K = 0
-        terminator = None
-        for p in range(start, end):
-            (code, dest, srcs, imm, offset, target, latency, _cls,
-             _spill, reads_dest, track) = d[p]
-            n = p - start
-            if code <= 1:               # load: must be an L1D hit
-                self._readiness2(ind, K, [rentry(srcs[0])])
-                off = f" + {offset}" if offset else ""
-                w(ind, f"a{n} = {val(srcs[0])}{off}")
-                w(ind, f"if a{n} < 0 or a{n} >= {self.memb}:")
-                w(ind + 1, "return None")   # full variant raises
-                w(ind, f"g{n} = a{n} >> {dsh}")
-                w(ind, f"if g{n} not in DT:")
-                w(ind + 1, "return None")
-                w(ind, f"x = a{n} >> {lsh}")
-                w(ind, f"ways = L1DW[x & {lmask}]")
-                w(ind, f"if not ways or ways[0] != x:")
-                w(ind + 1, "return None")
-                w(ind, f"v{n} = MEM[a{n} >> 3]")
-                shadow[dest] = f"v{n}"
-                if track:
-                    w(ind, f"q{n} = t + {K + l1d_lat}")
-                    srdy[dest] = (f"q{n}", True)
-                commits.append(("tlb", f"g{n}"))
-                n_loads += 1
-                K += 1
-            elif code <= 3:             # store: line already in L1D
-                self._readiness2(
-                    ind, K, [rentry(srcs[0]), rentry(srcs[1])])
-                off = f" + {offset}" if offset else ""
-                w(ind, f"a{n} = {val(srcs[1])}{off}")
-                w(ind, f"if a{n} < 0 or a{n} >= {self.memb}:")
-                w(ind + 1, "return None")
-                w(ind, f"g{n} = a{n} >> {dsh}")
-                w(ind, f"if g{n} not in DT:")
-                w(ind + 1, "return None")
-                w(ind, f"x = a{n} >> {lsh}")
-                w(ind, f"ways = L1DW[x & {lmask}]")
-                w(ind, f"if not ways or ways[0] != x:")
-                w(ind + 1, "return None")
-                commits.append(("tlb", f"g{n}"))
-                commits.append(("mem", f"a{n}", val(srcs[0])))
-                K += 1
-            elif code <= 5:             # LDI / FLDI
-                shadow[dest] = repr(imm)
-                if track:
-                    w(ind, f"q{n} = t + {K + 1}")
-                    srdy[dest] = (f"q{n}", False)
-                K += 1
-            elif code == 6:             # BR
-                terminator = ("br", target, K + 2)
-                break
-            elif code <= 8:             # BEQ / BNE
-                self._readiness2(ind, K, [rentry(srcs[0])])
-                terminator = ("cond", p, code, srcs[0], target, K)
-                break
-            elif code == 10:            # NOP
-                K += 1
-            else:                       # ALU
-                entries = [rentry(s) for s in srcs]
-                if reads_dest and dest >= 0:
-                    entries.append(rentry(dest, dest_read=True))
-                self._readiness2(ind, K, entries)
-                a = val(srcs[0]) if srcs else repr(imm)
-                b = val(srcs[1]) if len(srcs) > 1 else repr(imm)
-                dread = val(dest)
-                self._alu_value(ind, code, a, b, dread, f"v{n}", p)
-                shadow[dest] = f"v{n}"
-                if track:
-                    w(ind, f"q{n} = t + {K + latency}")
-                    srdy[dest] = (f"q{n}", False)
-                K += 1
-        # ---- phase 2: commit.
-        self._batches(ind, start, end)
-        if not cfg.perfect_icache:
-            # Interior probe accesses are in the block's static counts;
-            # only the conditional entry probe counts dynamically.
-            w(ind, "if ia:")
-            w(ind + 1, "L1IST.accesses += 1")
-            if not self.small_ispace:
-                w(ind + 1, f"if {entry_pg[0]} != lastP:")
-                w(ind + 2, f"del IT[{entry_pg[1]}]")
-                w(ind + 2, f"IT[{entry_pg[1]}] = None")
-            if not self.small_ispace:
-                for pg in interior_pages.values():
-                    w(ind, f"del IT[{pg}]")
-                    w(ind, f"IT[{pg}] = None")
-        for action in commits:
-            if action[0] == "tlb":
-                if not self.small_dspace:
-                    w(ind, f"del DT[{action[1]}]")
-                    w(ind, f"DT[{action[1]}] = None")
-            else:
-                w(ind, f"MEM[{action[1]} >> 3] = {action[2]}")
-        for slot, expr in shadow.items():
-            w(ind, f"R[{slot}] = {expr}")
-        for slot, (qv, fload) in srdy.items():
-            w(ind, f"RDY[{slot}] = {qv}")
-            w(ind, f"F[{slot}] = {fload}")
-        w(ind, "ctr[0] += li")
-        w(ind, "ctr[1] += fi")
-        if terminator is None:
-            w(ind, f"return {end}, t + {K}, {exL}, {exP}")
-        elif terminator[0] == "br":
-            w(ind, f"return {terminator[1]}, t + {terminator[2]}, "
-                   f"{exL}, {exP}")
-        else:
-            _tag, p, code, s0, target, K = terminator
-            self._branch(ind, p, code, val(s0), target, K, exL, exP)
-
-    def _exit_fetch(self, start, end):
-        """Static exit values of the fetch memo (last line executed)."""
-        ad = (end - 1) << 2
-        return str(ad >> 5), str(ad >> 13)
-
     # --------------------------------------------------- profile blocks
     def emit_profile(self, name, start, end, label):
         d = self.d
@@ -883,10 +629,14 @@ _TIMING_BINDINGS = [
     "R = S.regs", "RDY = S.ready", "F = S.from_load", "MEM = S.memory",
     "DLOAD = S._dload", "DSTORE = S._dstore",
     "IFILL = S._ifill_latency", "ITLB = S.itlb.lookup",
-    "L1I = S.l1i.lookup", "BP = S.bpred.counters", "SIM = S",
-    "DT = S.dtlb.pages", "IT = S.itlb.pages", "L1DW = S.l1d.sets",
-    "L1IW = S.l1i.sets", "L1DST = S.l1d.stats", "L1IST = S.l1i.stats",
-    "MSHR = S._mshr",
+    "L1I = S.l1i.lookup", "BP = S.bpred.counters", "DT = S.dtlb.pages",
+    "L1DW = S.l1d.sets", "L1IW = S.l1i.sets", "L1DST = S.l1d.stats",
+    "L1IST = S.l1i.stats", "MSHR = S._mshr",
+]
+
+_PROFILE_BINDINGS = [
+    "R = S.regs", "MEM = S.memory",
+    "BC = S.block_counts", "EC = S.edge_counts",
 ]
 
 
@@ -913,12 +663,13 @@ def _compile_cached(src, filename):
     return code
 
 
-def _compile_factory(gen, body_lines, table_items, filename):
+def _compile_factory(gen, bindings, table_items, filename):
+    """Exec the generated block functions against *gen*'s simulator;
+    return the ``{leader pc: (function, length)}`` dispatch table."""
     lines = ["def _factory(S, ctr):"]
-    lines += [" " + b for b in _TIMING_BINDINGS]
-    lines += body_lines
-    entries = ", ".join(table_items)
-    lines.append(" return {%s}" % entries)
+    lines += [" " + b for b in bindings]
+    lines += gen.out
+    lines.append(" return {%s}" % ", ".join(table_items))
     src = "\n".join(lines) + "\n"
     namespace = {"E": SimulationError}
     exec(_compile_cached(src, filename), namespace)
@@ -932,75 +683,43 @@ def build_engine(sim):
         return None
     if sim.stall_profile is not None or sim.profiling:
         return None
-    decoded = sim._decoded
-    if any(ins[0] == _FLDI2 for ins in decoded):
-        return None
     gen = _Gen(sim)
     items = []
-    for start, end in _block_spans(decoded):
+    for start, end in _block_spans(sim._decoded):
         gen.emit_full(f"b{start}", start, end)
-        rep = "None"
-        if gen.can_replay(start, end):
-            gen.emit_replay(f"r{start}", start, end)
-            rep = f"r{start}"
-        items.append(f"{start}: [b{start}, {end - start}, {rep}, 0]")
-    table = _compile_factory(gen, gen.out, items, "<fastsim>")
+        items.append(f"{start}: (b{start}, {end - start})")
+    table = _compile_factory(gen, _TIMING_BINDINGS, items, "<fastsim>")
     return _FastEngine(sim, table, gen.ctr, gen.blocks)
 
 
 class _FastEngine:
-    """Driver: dispatch compiled blocks, prefer replay variants."""
+    """Driver: dispatch one compiled function per basic block."""
 
     def __init__(self, sim, table, ctr, blocks):
         self.sim = sim
         self.table = table
         self.ctr = ctr
         self.blocks = blocks
-        #: Replay dispatch outcomes of the last :meth:`run` (also
-        #: folded into the global metrics registry at finalize).
-        self.replay_hits = 0
-        self.replay_misses = 0
 
     def run(self, max_instructions):
-        sim = self.sim
-        ctr = self.ctr
         get = self.table.get
         t = 0
         pc = 0
         lastL = -1
         lastP = -1
         executed = 0
-        replay_hits = 0
-        replay_misses = 0
         while True:
             ent = get(pc)
             if ent is None:
                 if pc < 0:
                     break
                 raise SimulationError(f"pc {pc} out of range")
-            nb = ent[1]
+            fn, nb = ent
             if executed + nb > max_instructions:
                 raise SimulationError("instruction limit exceeded "
                                       f"({max_instructions})")
             executed += nb
-            rep = ent[2]
-            if rep is not None:
-                res = rep(t, lastL, lastP)
-                if res is not None:
-                    replay_hits += 1
-                    if ent[3]:
-                        ent[3] = 0
-                    pc, t, lastL, lastP = res
-                    continue
-                replay_misses += 1
-                fails = ent[3] + 1
-                if fails >= REPLAY_DISABLE_AFTER:
-                    ent[2] = None
-                    fails = 0
-                ent[3] = fails
-            pc, t, lastL, lastP = ent[0](t, lastL, lastP)
-        self.replay_hits = replay_hits
-        self.replay_misses = replay_misses
+            pc, t, lastL, lastP = fn(t, lastL, lastP)
         self._finalize(t, executed)
 
     def _finalize(self, t, executed):
@@ -1024,10 +743,6 @@ class _FastEngine:
                 if ni:
                     sim.l1i.stats.accesses += c * ni
         sim._flush_machine_stats()
-        if self.replay_hits:
-            _M_REPLAY_HITS.inc(self.replay_hits)
-        if self.replay_misses:
-            _M_REPLAY_MISSES.inc(self.replay_misses)
 
 
 def _apply_block_counts(m, ctr, blocks):
@@ -1047,39 +762,21 @@ def _apply_block_counts(m, ctr, blocks):
         m.branches += c * counts[14]
 
 
-_PROFILE_BINDINGS = [
-    "R = S.regs", "MEM = S.memory",
-    "BC = S.block_counts", "EC = S.edge_counts",
-]
-
-
 def run_profile(sim, max_instructions):
     """Architectural-only execution: block/edge counts, no timing.
 
     Cycle counters are placeholders (``total_cycles`` = instruction
     count) — callers in profile mode consume only the block and edge
-    frequencies, which match the reference run bit for bit.  Falls
-    back to the reference interpreter for opcodes the generator does
-    not support.
+    frequencies, which match the reference run bit for bit.
     """
-    decoded = sim._decoded
-    if any(ins[0] == _FLDI2 for ins in decoded):
-        sim._run_reference(max_instructions)
-        return
     gen = _Gen(sim)
     items = []
-    for start, end in _block_spans(decoded, sim._block_starts):
+    for start, end in _block_spans(sim._decoded, sim._block_starts):
         label = sim._block_starts.get(start)
         gen.emit_profile(f"p{start}", start, end, label)
         items.append(f"{start}: (p{start}, {end - start})")
-    lines = ["def _factory(S, ctr):"]
-    lines += [" " + b for b in _PROFILE_BINDINGS]
-    lines += gen.out
-    lines.append(" return {%s}" % ", ".join(items))
-    namespace = {"E": SimulationError}
-    exec(_compile_cached("\n".join(lines) + "\n", "<fastsim-profile>"),
-         namespace)
-    table = namespace["_factory"](sim, gen.ctr)
+    table = _compile_factory(gen, _PROFILE_BINDINGS, items,
+                             "<fastsim-profile>")
     get = table.get
     ctr = gen.ctr
     pc = 0

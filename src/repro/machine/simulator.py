@@ -58,6 +58,8 @@ _M_SIM_CODEGEN_SECONDS = _METRICS.histogram(
 _MASK64 = (1 << 64) - 1
 
 # Opcode dispatch codes (grouped: arithmetic decoded generically).
+# "FLDI2" (code 37) is not a registered opcode, so no program contains
+# it; it only holds its slot, because both engines hard-code the codes.
 _OPC = {name: i for i, name in enumerate((
     "LD", "FLD", "ST", "FST", "LDI", "FLDI", "BR", "BEQ", "BNE", "HALT",
     "NOP", "ADD", "SUB", "MUL", "DIVQ", "REMQ", "AND", "OR", "XOR", "SLL",
@@ -165,9 +167,6 @@ class Simulator:
         #: answered by popping expired heads — O(log n) per miss
         #: instead of rebuilding a list over every dict value.
         self._mshr_heap: list[int] = []
-        #: Latest completion time ever pushed; the compiled engine's
-        #: replay guard ("no miss in flight") is one integer compare.
-        self._mshr_max = 0
         self._rng_state = 0x1234ABCD          # stochastic-model LCG
 
         # Profiling.
@@ -756,8 +755,6 @@ class Simulator:
         completion = now + latency
         mshr[line] = completion
         heapq.heappush(heap, completion)
-        if completion > self._mshr_max:
-            self._mshr_max = completion
         return latency, stall
 
     def _dstore(self, addr: int) -> None:

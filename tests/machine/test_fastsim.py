@@ -1,6 +1,6 @@
 """Compiled fast engine: bit-identity vs. the reference interpreter,
-replay memoization, MSHR bookkeeping under the heap, and the engine
-selection API (mode=, REPRO_SIM)."""
+MSHR bookkeeping under the heap, and the engine selection API (mode=,
+REPRO_SIM)."""
 
 from __future__ import annotations
 
@@ -112,51 +112,40 @@ class TestBitIdentity:
         ref, fast = assert_identical(program)
         assert fast.metrics.l1d.misses == 1
 
-
-class TestReplay:
-    def test_replay_fires_on_converged_loop(self):
-        """A steady-state scalar loop replays after its cache/TLB/
-        predictor state converges, bit-identically."""
+    @pytest.mark.parametrize("stride", [0, 64], ids=["converged",
+                                                     "streaming"])
+    def test_scalar_loop(self, stride):
+        """A 200-trip scalar reduction loop.  With stride 0 its load
+        hits one resident line once cache, TLB and predictor state
+        converge; with a 64-byte stride every load misses L1 and the
+        walk crosses a page and wraps the direct-mapped L1."""
+        trips = 200
+        elems = 8 + trips * stride // 8
+        body = [
+            Instruction("FLD", dest=v(3, "f"), srcs=(v(0),), offset=0),
+            Instruction("FADD", dest=v(2, "f"),
+                        srcs=(v(2, "f"), v(3, "f"))),
+        ]
+        if stride:
+            body.append(Instruction("ADD", dest=v(0), srcs=(v(0),),
+                                    imm=stride))
+        body += [
+            Instruction("ADD", dest=v(1), srcs=(v(1),), imm=1),
+            Instruction("CMPLT", dest=v(4), srcs=(v(1),), imm=trips),
+            Instruction("BNE", srcs=(v(4),), label="loop"),
+            Instruction("HALT"),
+        ]
         program = assemble([
             ("entry", [
                 Instruction("LDI", dest=v(0), imm=64),
                 Instruction("LDI", dest=v(1), imm=0),
                 Instruction("FLDI", dest=v(2, "f"), imm=0.0),
             ]),
-            ("loop", [
-                Instruction("FLD", dest=v(3, "f"), srcs=(v(0),),
-                            offset=0),
-                Instruction("FADD", dest=v(2, "f"),
-                            srcs=(v(2, "f"), v(3, "f"))),
-                Instruction("ADD", dest=v(1), srcs=(v(1),), imm=1),
-                Instruction("CMPLT", dest=v(4), srcs=(v(1),), imm=200),
-                Instruction("BNE", srcs=(v(4),), label="loop"),
-                Instruction("HALT"),
-            ]),
-        ], symbols=sym(), data_size=64 + 16 * 8)
-        sim = Simulator(program, mode="fast")
-        from repro.machine.fastsim import build_engine
-
-        engine = build_engine(sim)
-        assert engine is not None
-        replayed = [0]
-        for entry in engine.table.values():
-            if entry[2] is not None:
-                orig = entry[2]
-
-                def counting(t, lastL, lastP, _orig=orig):
-                    result = _orig(t, lastL, lastP)
-                    if result is not None:
-                        replayed[0] += 1
-                    return result
-
-                entry[2] = counting
-        sim._fast_engine = engine
-        sim.run()
-        assert replayed[0] > 100
-        ref = Simulator(program, mode="reference")
-        ref.run()
-        assert state_dict(ref) == state_dict(sim)
+            ("loop", body),
+        ], symbols=sym(elems=elems), data_size=64 + elems * 8)
+        ref, fast = assert_identical(
+            program, arrays={"A": [float(i) for i in range(elems)]})
+        assert fast.metrics.l1d.misses == (trips if stride else 1)
 
 
 class TestZeroRegisterScratch:

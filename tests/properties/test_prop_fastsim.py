@@ -2,10 +2,10 @@
 reference interpreter on generated loop kernels.
 
 The generator builds small array kernels (loads, stores, fp
-arithmetic, conditionals, reductions) whose steady-state iterations
-exercise the engine's block memoization; every metrics counter,
-including the interlock split and the cache/TLB stats, plus final
-memory and registers must match the interpreter exactly.
+arithmetic, conditionals, reductions) whose loops run each compiled
+block many times, from cold caches into steady state; every metrics
+counter, including the interlock split and the cache/TLB stats, plus
+final memory and registers must match the interpreter exactly.
 """
 
 from hypothesis import given, settings

@@ -127,7 +127,9 @@ class CompileResult:
     #: Per-loop software-pipelining outcomes (None when swp is off).
     modulo_stats: Optional[ModuloStats] = None
     #: Wall-clock seconds per pipeline phase: ``compile`` (frontend +
-    #: AST transforms + lowering + cleanups), ``schedule``, ``regalloc``.
+    #: AST transforms + lowering + cleanups), ``schedule``,
+    #: ``profile`` (the trace profile run; trace configs only),
+    #: ``regalloc``.
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -231,11 +233,14 @@ def compile_source(source: str, options: Options = Options(),
         model = make_weight_model(options)
         trace_stats = None
         profile = None
+        profile_seconds = 0.0
         validator.before_schedule(cfg)
         with observer.span("schedule", scheduler=options.scheduler,
                            trace=options.trace) as span:
             if options.trace and model is not None:
+                profile_start = time.perf_counter()
                 profile = _collect_profile(cfg, options)
+                profile_seconds = time.perf_counter() - profile_start
                 trace_stats = trace_schedule(cfg, profile, model)
                 validator.after_schedule(cfg, "sched.trace",
                                          mode="trace")
@@ -277,9 +282,11 @@ def compile_source(source: str, options: Options = Options(),
                 span.annotate(static_instructions=len(program))
     phase_seconds = {
         "compile": compile_done - phase_start,
-        "schedule": schedule_done - compile_done,
+        "schedule": schedule_done - compile_done - profile_seconds,
         "regalloc": regalloc_done - schedule_done,
     }
+    if profile is not None:
+        phase_seconds["profile"] = profile_seconds
     return CompileResult(program=program, cfg=cfg, options=options,
                          allocation=allocation, unroll_stats=unroll_stats,
                          locality_stats=locality_stats,

@@ -19,8 +19,11 @@ the uncached points out over a :class:`ProcessPoolExecutor` (one
 worker call per ``(benchmark, scheduler, config)`` point) and returns
 results in deterministic grid order regardless of completion order.
 Every executed point records per-phase wall-clock timings (compile /
-schedule / regalloc / simulate) and simulated-instruction throughput;
-``sweep`` writes a structured JSON *run manifest* next to the cache.
+schedule / profile / regalloc / simulate), simulated-instruction
+throughput and its fast-engine code-cache hits and misses.  ``sweep``
+writes a structured JSON *run manifest* next to the cache; it is the
+only record of a sweep, and also counts the torn store entries the
+runner dropped and the orphaned temp files it reaped.
 """
 
 from __future__ import annotations
@@ -45,21 +48,12 @@ from ..machine import (
     config_from_json,
     config_hash,
     config_to_json,
+    fastsim,
 )
 from ..obs import NULL_OBSERVER, Observer
-from ..obs.metrics import REGISTRY as _METRICS
 from ..workloads.programs import WORKLOADS, Workload
 from .compile import Options, compile_source
 from .store import ResultStore, StoreKey, atomic_write_json, source_hash
-
-#: Harness-level metrics (repro.obs.metrics).  Phase timings become
-#: *distributions* here (the manifest keeps per-run scalars); grid
-#: points are counted by how they were satisfied.
-_M_PHASE_SECONDS = _METRICS.histogram(
-    "repro_phase_seconds",
-    "wall time per compile/schedule/regalloc/simulate phase")
-_M_GRID_POINTS = _METRICS.counter(
-    "repro_grid_points_total", "grid points satisfied, by status")
 
 #: The paper's configuration axes, by short name.
 CONFIGS: dict[str, dict] = {
@@ -89,13 +83,14 @@ MANIFEST_NAME = "run-manifest.json"
 #: the grid) and machine-config-aware cache keys.  v4 added the
 #: optional ``oracle`` section (heuristic-gap summary from
 #: ``repro.oracle``, attached by the ``--oracle`` CLI flag and gated
-#: by ``repro obs-diff``).  v5 added the optional ``metrics`` section
-#: (the folded :mod:`repro.obs.metrics` registry of the sweep: a
-#: p50/p95/p99 summary plus the raw mergeable snapshot), omitted when
-#: recording is off (``REPRO_METRICS=0``).  v6 added the optional
+#: by ``repro obs-diff``).  v5 added a ``metrics`` section (a metrics
+#: registry's snapshot; v7 drops it).  v6 added the optional
 #: ``analysis`` section (dependence/pressure summary from
 #: ``repro analyze --attach``, gated exactly by ``repro obs-diff``).
-MANIFEST_VERSION = 6
+#: v7 added the per-run ``code_cache_hits``/``code_cache_misses`` and
+#: the sweep-level ``store_errors``/``orphans_reaped`` counts; older
+#: readers reject the new run keys.
+MANIFEST_VERSION = 7
 
 
 @dataclass
@@ -154,7 +149,8 @@ class RunTiming:
     config: str
     cached: bool
     #: Seconds per phase: ``compile`` (frontend + AST transforms +
-    #: lowering + cleanups), ``schedule``, ``regalloc``, ``simulate``.
+    #: lowering + cleanups), ``schedule``, ``profile`` (trace configs),
+    #: ``regalloc``, ``simulate`` and ``sim_codegen`` (fast engine).
     phase_seconds: dict[str, float] = field(default_factory=dict)
     total_seconds: float = 0.0
     simulated_instructions: int = 0
@@ -164,6 +160,11 @@ class RunTiming:
     #: Which simulator engine executed this point ("fast", "reference",
     #: "profile"); None for cached points that were never re-simulated.
     sim_mode: Optional[str] = None
+    #: Fast-engine builds for this point (the timing engine and the
+    #: trace profile engine) that reused a cached code object, and
+    #: builds that compiled fresh bytecode.
+    code_cache_hits: int = 0
+    code_cache_misses: int = 0
 
     @property
     def instructions_per_second(self) -> float:
@@ -191,6 +192,8 @@ class ManifestRun:
     simulated_instructions: int = 0
     modulo: Optional[dict] = None
     sim_mode: Optional[str] = None
+    code_cache_hits: int = 0
+    code_cache_misses: int = 0
     instructions_per_second: float = 0.0
     total_cycles: int = 0
     load_interlock_cycles: int = 0
@@ -203,7 +206,9 @@ class ManifestRun:
             phase_seconds=dict(self.phase_seconds),
             total_seconds=self.total_seconds,
             simulated_instructions=self.simulated_instructions,
-            modulo=self.modulo, sim_mode=self.sim_mode)
+            modulo=self.modulo, sim_mode=self.sim_mode,
+            code_cache_hits=self.code_cache_hits,
+            code_cache_misses=self.code_cache_misses)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -221,15 +226,19 @@ class Manifest:
     cached: int
     wall_seconds: float
     simulated_instructions: int
+    #: Torn entries the runner's store dropped, and orphaned temp
+    #: files it reaped at startup (v7).
+    store_errors: int = 0
+    orphans_reaped: int = 0
     runs: list[ManifestRun] = field(default_factory=list)
     modulo: Optional[dict] = None
     trace: Optional[dict] = None
     #: Heuristic-gap summary (:func:`repro.oracle.gap.oracle_summary`),
     #: attached after the sweep when ``--oracle`` is given (v4).
     oracle: Optional[dict] = None
-    #: Folded metrics registry of the sweep (v5): ``{"summary": ...,
-    #: "snapshot": ...}``; None when recording was off.
-    metrics: Optional[dict] = None
+    #: Dependence/pressure summary attached by
+    #: ``repro analyze --attach`` (v6).
+    analysis: Optional[dict] = None
     #: True when the sweep was interrupted (SIGTERM/SIGINT, a worker
     #: death) and the manifest covers only the completed grid points.
     partial: bool = False
@@ -237,14 +246,9 @@ class Manifest:
     def to_json(self) -> dict:
         data = asdict(self)
         data["runs"] = [run.to_json() for run in self.runs]
-        if self.modulo is None:
-            del data["modulo"]
-        if self.trace is None:
-            del data["trace"]
-        if self.oracle is None:
-            del data["oracle"]
-        if self.metrics is None:
-            del data["metrics"]
+        for section in ("modulo", "trace", "oracle", "analysis"):
+            if data[section] is None:
+                del data[section]
         return data
 
     def run_for(self, benchmark: str, scheduler: str,
@@ -268,11 +272,13 @@ def parse_manifest(data: dict) -> Manifest:
         cached=data.get("cached", 0),
         wall_seconds=data.get("wall_seconds", 0.0),
         simulated_instructions=data.get("simulated_instructions", 0),
+        store_errors=data.get("store_errors", 0),
+        orphans_reaped=data.get("orphans_reaped", 0),
         runs=runs,
         modulo=data.get("modulo"),
         trace=data.get("trace"),
         oracle=data.get("oracle"),
-        metrics=data.get("metrics"),
+        analysis=data.get("analysis"),
         partial=data.get("partial", False))
 
 
@@ -318,6 +324,7 @@ def _execute_grid_point(workload: Workload, scheduler: str,
                         machine: Optional[MachineConfig] = None
                         ) -> tuple[RunResult, RunTiming]:
     """Compile and simulate one grid point, with phase timings."""
+    hits, misses = fastsim.code_cache_hits, fastsim.code_cache_misses
     start = time.perf_counter()
     with observer.span("grid-point", benchmark=workload.name,
                        scheduler=scheduler, config=config):
@@ -340,8 +347,6 @@ def _execute_grid_point(workload: Workload, scheduler: str,
     phases["simulate"] = sim.run_seconds
     if sim.codegen_seconds:
         phases["sim_codegen"] = sim.codegen_seconds
-    for phase, seconds in phases.items():
-        _M_PHASE_SECONDS.labels(phase=phase).observe(seconds)
     result = RunResult(
         benchmark=workload.name, scheduler=scheduler, config=config,
         total_cycles=metrics.total_cycles,
@@ -375,7 +380,9 @@ def _execute_grid_point(workload: Workload, scheduler: str,
         benchmark=workload.name, scheduler=scheduler, config=config,
         cached=False, phase_seconds=phases, total_seconds=total_seconds,
         simulated_instructions=metrics.instructions, modulo=modulo,
-        sim_mode=sim.mode_used)
+        sim_mode=sim.mode_used,
+        code_cache_hits=fastsim.code_cache_hits - hits,
+        code_cache_misses=fastsim.code_cache_misses - misses)
     return result, timing
 
 
@@ -388,10 +395,6 @@ def _pool_run(benchmark: str, scheduler: str, config: str,
     worker never re-hashes the package sources; a non-default machine
     description travels as plain JSON (picklable, version-stable).
     """
-    # A freshly forked worker inherits the parent's registry state;
-    # discard it so the first delta frame ships only this task's work
-    # (the parent already holds the inherited counts).
-    _METRICS.reset()
     machine = config_from_json(machine_json) if machine_json else None
     runner = ExperimentRunner(cache_dir=Path(cache_dir),
                               fingerprint=fingerprint,
@@ -399,12 +402,7 @@ def _pool_run(benchmark: str, scheduler: str, config: str,
     runner.use_cache = use_cache
     result = runner.run(benchmark, scheduler, config)
     timing = runner.timings.get((benchmark, scheduler, config))
-    # Ship this worker's metrics delta in the result frame; the parent
-    # folds it into its registry (snapshot_and_reset so a reused pool
-    # worker never double-counts across tasks).
-    metrics = _METRICS.snapshot_and_reset() if _METRICS.recording \
-        else None
-    return benchmark, scheduler, config, result, timing, metrics
+    return benchmark, scheduler, config, result, timing
 
 
 class ExperimentRunner:
@@ -431,6 +429,8 @@ class ExperimentRunner:
         self._machine_hash = config_hash(machine_config
                                          or DEFAULT_CONFIG)
         self._store = ResultStore(self.cache_dir)
+        #: Orphaned temp files this runner reaped at startup.
+        self.orphans_reaped = 0
         if self.use_cache:
             self._reap_once()
         #: Observability sink.  An *enabled* observer needs in-process
@@ -455,7 +455,7 @@ class ExperimentRunner:
         if root in _REAPED_ROOTS:
             return
         _REAPED_ROOTS.add(root)
-        self._store.reap_orphans()
+        self.orphans_reaped = len(self._store.reap_orphans())
 
     def _store_key(self, workload: Workload, scheduler: str,
                    config: str) -> StoreKey:
@@ -503,7 +503,6 @@ class ExperimentRunner:
         result = None if self.observer.enabled else \
             self._load_cached(store_key)
         if result is not None:
-            _M_GRID_POINTS.labels(status="cached").inc()
             self.timings[key] = RunTiming(
                 benchmark=benchmark, scheduler=scheduler, config=config,
                 cached=True, total_seconds=time.perf_counter() - start,
@@ -514,7 +513,6 @@ class ExperimentRunner:
             result, timing = _execute_grid_point(
                 workload, scheduler, config, observer=self.observer,
                 machine=self.machine_config)
-            _M_GRID_POINTS.labels(status="executed").inc()
             self.timings[key] = timing
             self._store_cached(store_key, result)
         self._memory[key] = result
@@ -629,14 +627,16 @@ class ExperimentRunner:
                     (benchmark, scheduler, config)
                 for benchmark, scheduler, config in pending}
             for done, future in enumerate(as_completed(futures), start=1):
-                (benchmark, scheduler, config, result, timing,
-                 metrics) = future.result()
+                benchmark, scheduler, config, result, timing = \
+                    future.result()
                 key = (benchmark, scheduler, config)
                 self._memory[key] = result
                 if timing is not None:
                     self.timings[key] = timing
-                if metrics is not None:
-                    _METRICS.merge(metrics)
+                    # Keep this process's code-cache counts covering
+                    # the builds its workers ran.
+                    fastsim.code_cache_hits += timing.code_cache_hits
+                    fastsim.code_cache_misses += timing.code_cache_misses
                 self._progress(done, len(pending), key)
         except BaseException:
             # Interrupted (signal) or a worker died: drop the queued
@@ -696,17 +696,14 @@ class ExperimentRunner:
             "wall_seconds": round(wall_seconds, 3),
             "simulated_instructions": sum(
                 r["simulated_instructions"] for r in executed),
+            "store_errors": self._store.errors,
+            "orphans_reaped": self.orphans_reaped,
             "runs": runs,
         }
         if modulo:
             payload["modulo"] = modulo
         if self.observer.enabled:
             payload["trace"] = self.observer.summary()
-        if _METRICS.recording:
-            payload["metrics"] = {
-                "summary": _METRICS.summary(),
-                "snapshot": _METRICS.snapshot(),
-            }
         atomic_write_json(self.manifest_path, payload)
 
     def _modulo_aggregates(self, grid: list[tuple[str, str, str]]) -> dict:

@@ -38,24 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..obs.metrics import REGISTRY as _METRICS
-
-#: Store traffic counters (repro.obs.metrics): every load is a hit, a
-#: miss, or a torn-entry error; stores and reaped orphans are counted
-#: too.  Recording never changes what the store returns.
-_STORE_HITS = _METRICS.counter(
-    "repro_store_hits_total", "result-store loads served from disk")
-_STORE_MISSES = _METRICS.counter(
-    "repro_store_misses_total", "result-store loads that found nothing")
-_STORE_ERRORS = _METRICS.counter(
-    "repro_store_errors_total",
-    "torn/unreadable store entries dropped on load")
-_STORE_WRITES = _METRICS.counter(
-    "repro_store_writes_total", "result-store entries published")
-_STORE_REAPED = _METRICS.counter(
-    "repro_store_orphans_reaped_total",
-    "orphaned temp files removed at startup")
-
 #: Temp files older than (run start - grace) are considered orphaned.
 #: The grace window protects a concurrent process's in-flight write
 #: that happened to start just before this one.
@@ -131,6 +113,8 @@ class ResultStore:
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
+        #: Torn or unreadable entries :meth:`load` has dropped.
+        self.errors = 0
 
     # ---------------------------------------------------------- layout
     def path_for(self, key: StoreKey) -> Path:
@@ -155,22 +139,19 @@ class ResultStore:
         try:
             payload = json.loads(path.read_text())
         except FileNotFoundError:
-            _STORE_MISSES.inc()
             return None
         except (ValueError, OSError):
-            _STORE_ERRORS.inc()
+            self.errors += 1
             try:
                 path.unlink(missing_ok=True)
             except OSError:
                 pass
             return None
-        _STORE_HITS.inc()
         return payload
 
     def store(self, key: StoreKey, payload: dict) -> Path:
         path = self.path_for(key)
         atomic_write_json(path, payload)
-        _STORE_WRITES.inc()
         return path
 
     # -------------------------------------------------------- reaping
@@ -197,6 +178,4 @@ class ResultStore:
             except OSError:
                 # Raced with the writer publishing or another reaper.
                 continue
-        if reaped:
-            _STORE_REAPED.inc(len(reaped))
         return reaped

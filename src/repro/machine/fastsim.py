@@ -30,17 +30,7 @@ attribution, profiling), keeping the fallback decision in one place.
 
 from __future__ import annotations
 
-from ..obs.metrics import REGISTRY as _METRICS
 from .simulator import SimulationError
-
-#: Engine counters (repro.obs.metrics): the code-object cache counters
-#: bump once per engine build and never touch timing state.
-_M_CODE_HITS = _METRICS.counter(
-    "repro_fastsim_code_cache_hits_total",
-    "engine builds that reused a cached compiled code object")
-_M_CODE_MISSES = _METRICS.counter(
-    "repro_fastsim_code_cache_misses_total",
-    "engine builds that compiled fresh bytecode")
 
 # Shared counter-vector indices: one flat list instead of per-event
 # attribute updates; flushed into Metrics once at the end of a run.
@@ -649,17 +639,24 @@ _PROFILE_BINDINGS = [
 _CODE_CACHE: dict[str, object] = {}
 _CODE_CACHE_MAX = 64
 
+#: Engine builds (timing and profile) in this process that reused a
+#: cached code object, and builds that compiled fresh bytecode.  The
+#: grid runner records their per-point deltas in the run manifest.
+code_cache_hits = 0
+code_cache_misses = 0
+
 
 def _compile_cached(src, filename):
+    global code_cache_hits, code_cache_misses
     code = _CODE_CACHE.get(src)
     if code is None:
-        _M_CODE_MISSES.inc()
+        code_cache_misses += 1
         code = compile(src, filename, "exec")
         if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
             _CODE_CACHE.clear()
         _CODE_CACHE[src] = code
     else:
-        _M_CODE_HITS.inc()
+        code_cache_hits += 1
     return code
 
 

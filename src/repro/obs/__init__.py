@@ -11,12 +11,6 @@ the ``--trace`` flags on ``bench``/``tables``/``report`` wire it up;
 """
 
 from .diff import DiffResult, diff_manifest_files, diff_manifests
-from .metrics import (
-    LATENCY_BUCKETS,
-    REGISTRY,
-    MetricsRegistry,
-    snapshot_summary,
-)
 from .observer import NULL_OBSERVER, Observer, TracingObserver
 from .provenance import LoadScheduleRecord, ScheduleProvenance
 from .stall import StallProfile
@@ -28,5 +22,4 @@ __all__ = [
     "StallProfile",
     "LoadScheduleRecord", "ScheduleProvenance",
     "DiffResult", "diff_manifests", "diff_manifest_files",
-    "MetricsRegistry", "REGISTRY", "LATENCY_BUCKETS", "snapshot_summary",
 ]

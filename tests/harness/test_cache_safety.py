@@ -13,6 +13,7 @@ from repro.harness.experiment import (
     ExperimentRunner,
     RunResult,
     _package_fingerprint,
+    load_manifest,
 )
 from repro.harness.store import atomic_write_json
 
@@ -59,8 +60,10 @@ class TestTornCacheFile:
         # A torn write: only the first half of the JSON made it out.
         path.write_text(full[:len(full) // 2])
         fresh = ExperimentRunner(cache_dir=runner.cache_dir)
-        again = fresh.run("ora", "balanced", "base")
+        (again,) = fresh.sweep(benchmarks=["ora"],
+                               schedulers=("balanced",), configs=["base"])
         assert again == result
+        assert load_manifest(fresh.manifest_path).store_errors == 1
 
     def test_truncated_entry_is_refreshed_on_disk(self, runner):
         runner.run("ora", "balanced", "base")

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.harness import (ExperimentRunner, load_manifest,
                            parse_manifest)
 from repro.obs import TracingObserver
+
+SEED_PATH = Path(__file__).resolve().parents[2] / "benchmarks" \
+    / "seed-manifest.json"
 
 
 def _sweep(tmp_path, **kwargs):
@@ -19,7 +23,7 @@ def _sweep(tmp_path, **kwargs):
 def test_manifest_loads_into_equal_dataclasses(tmp_path):
     runner = _sweep(tmp_path)
     manifest = load_manifest(runner.manifest_path)
-    assert manifest.version == 6
+    assert manifest.version == 7
     assert manifest.partial is False
     assert manifest.grid_points == 2
     assert manifest.executed == 2 and manifest.cached == 0
@@ -41,11 +45,12 @@ def test_manifest_loads_into_equal_dataclasses(tmp_path):
     assert swp.modulo["attempted"] >= swp.modulo["pipelined"]
     assert manifest.modulo, "sweep-level modulo aggregates present"
 
-    # v5: the folded metrics registry rides along (summary + snapshot).
-    assert manifest.metrics is not None
-    assert "repro_phase_seconds" in manifest.metrics["summary"]
-    snapshot = manifest.metrics["snapshot"]
-    assert "repro_sim_runs_total" in snapshot["families"]
+    # v7: a fast-engine run builds exactly one timing engine, and a
+    # clean store had nothing to drop or reap.
+    for run in manifest.runs:
+        builds = run.code_cache_hits + run.code_cache_misses
+        assert builds == (1 if run.sim_mode == "fast" else 0)
+    assert manifest.store_errors == 0 and manifest.orphans_reaped == 0
 
 
 def test_manifest_json_roundtrip_is_lossless(tmp_path):
@@ -54,6 +59,14 @@ def test_manifest_json_roundtrip_is_lossless(tmp_path):
     rehydrated = parse_manifest(
         json.loads(json.dumps(manifest.to_json())))
     assert rehydrated == manifest
+
+
+def test_seed_with_analysis_section_roundtrips():
+    data = json.loads(SEED_PATH.read_text())
+    assert data["analysis"]["points"]
+    manifest = parse_manifest(data)
+    assert manifest.analysis == data["analysis"]
+    assert manifest.to_json() == data
 
 
 def test_cached_resweep_keeps_results(tmp_path):

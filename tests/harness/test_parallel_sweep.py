@@ -12,6 +12,7 @@ from repro.harness.experiment import (
     MANIFEST_NAME,
     RunTiming,
 )
+from repro.obs.metrics import REGISTRY
 
 GRID = dict(benchmarks=["ora", "alvinn"], schedulers=("balanced",),
             configs=["base", "lu4"])
@@ -63,22 +64,51 @@ def test_second_sweep_hits_disk_cache(tmp_path):
 def test_manifest_records_phases_and_throughput(tmp_path):
     runner = ExperimentRunner(cache_dir=tmp_path, jobs=2)
     runner.sweep(benchmarks=["ora"], schedulers=("balanced",),
-                 configs=["base", "lu4"])
+                 configs=["base", "trs4"])
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
     assert manifest["fingerprint"] == runner._fingerprint
     assert manifest["grid_points"] == 2
     assert manifest["executed"] == 2 and manifest["cached"] == 0
     assert manifest["wall_seconds"] > 0
     for entry in manifest["runs"]:
+        phases = set(entry["phase_seconds"])
         assert {"compile", "schedule", "regalloc", "simulate"} <= \
-            set(entry["phase_seconds"]) <= {
-                "compile", "schedule", "regalloc", "simulate",
-                "sim_codegen"}
+            phases <= {"compile", "schedule", "profile", "regalloc",
+                       "simulate", "sim_codegen"}
+        # Only trace configs run the profile simulation, billed apart
+        # from the scheduling around it.
+        assert ("profile" in phases) == (entry["config"] == "trs4")
         assert all(value >= 0 for value in entry["phase_seconds"].values())
         assert entry["instructions_per_second"] > 0
         assert entry["simulated_instructions"] > 0
         assert entry["total_cycles"] > 0
         assert entry["sim_mode"] in ("fast", "reference")
+
+
+def test_pool_code_cache_counts_reach_the_parent(tmp_path):
+    """Each cold point counts its engine builds once: the timing engine,
+    plus the profile engine for a trace config.  The parent's counts
+    grow by exactly what its pool workers report."""
+    def totals():
+        return {name: family.value
+                for name, family in REGISTRY.families().items()}
+
+    before = totals()
+    runner = ExperimentRunner(cache_dir=tmp_path, jobs=2)
+    runner.sweep(benchmarks=["ora"], configs=["base", "trs4"])
+    after = totals()
+    runs = json.loads((tmp_path / MANIFEST_NAME).read_text())["runs"]
+    assert len(runs) == 4 and not any(run["cached"] for run in runs)
+    for run in runs:
+        assert run["sim_mode"] == "fast"
+        assert run["code_cache_hits"] + run["code_cache_misses"] == \
+            (2 if run["config"] == "trs4" else 1)
+    for name, field in (("repro_fastsim_code_cache_hits_total",
+                         "code_cache_hits"),
+                        ("repro_fastsim_code_cache_misses_total",
+                         "code_cache_misses")):
+        assert after[name] - before[name] == \
+            sum(run[field] for run in runs)
 
 
 def test_manifest_marks_cached_points(tmp_path):

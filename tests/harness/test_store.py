@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import ExperimentRunner, load_manifest
 from repro.harness.store import (
     ResultStore,
     StoreKey,
@@ -72,6 +72,7 @@ class TestIO:
         path.write_text("{torn")
         assert store.load(_key()) is None
         assert not path.exists()
+        assert store.errors == 1
 
     def test_atomic_write_failure_leaves_nothing(self, tmp_path):
         target = tmp_path / "shard" / "entry.json"
@@ -111,8 +112,11 @@ class TestReaping:
         orphan.write_text("{")
         stale = time.time() - 3600
         os.utime(orphan, (stale, stale))
-        ExperimentRunner(cache_dir=tmp_path)
+        runner = ExperimentRunner(cache_dir=tmp_path)
         assert not orphan.exists()
+        runner.sweep(benchmarks=["ora"], schedulers=("balanced",),
+                     configs=["base"])
+        assert load_manifest(runner.manifest_path).orphans_reaped == 1
 
 
 class TestMachineConfigKeys:

@@ -12,6 +12,10 @@ Pipeline (DESIGN.md section 4):
 6. linear-scan register allocation with spill insertion;
 7. linearization to a :class:`~repro.isa.MachineProgram`.
 
+Stages 1-4 are :func:`lower_source`, which the scheduling oracle calls
+too, so it grades exactly the CFG the schedulers are handed.  Each
+stage runs in its own observer span; the spans are the only timer.
+
 Trace scheduling needs a profile: the same program is compiled without
 trace scheduling, run once in profiling mode, and the block/edge
 frequencies feed trace formation (the paper's methodology, section 4.2).
@@ -20,16 +24,15 @@ frequencies feed trace formation (the paper's methodology, section 4.2).
 from __future__ import annotations
 
 import copy as _copy
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..analysis.locality import LocalityStats, analyze_locality
-from ..check import validator_from_env
+from ..check import NULL_VALIDATOR, validator_from_env
 from ..codegen.lower import lower
 from ..codegen.regalloc import AllocationResult, allocate_registers
 from ..codegen.verify import verify_pipelined_kernels, verify_program
-from ..frontend import frontend, parse, analyze
+from ..frontend import frontend
 from ..ir import Cfg
 from ..isa import MachineProgram
 from ..machine import DEFAULT_CONFIG, MachineConfig, Metrics, Simulator
@@ -126,11 +129,6 @@ class CompileResult:
     profile: Optional[ProfileData] = None
     #: Per-loop software-pipelining outcomes (None when swp is off).
     modulo_stats: Optional[ModuloStats] = None
-    #: Wall-clock seconds per pipeline phase: ``compile`` (frontend +
-    #: AST transforms + lowering + cleanups), ``schedule``,
-    #: ``profile`` (the trace profile run; trace configs only),
-    #: ``regalloc``.
-    phase_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def static_instructions(self) -> int:
@@ -158,17 +156,77 @@ def _cfg_stats(cfg: Cfg) -> dict:
     return {"blocks": len(cfg), "instrs": instrs, "loads": loads}
 
 
+def lower_source(source: str, options: Options, name: str = "program",
+                 observer: Observer = NULL_OBSERVER,
+                 validator=NULL_VALIDATOR
+                 ) -> tuple[Cfg, Optional[UnrollStats],
+                            Optional[LocalityStats]]:
+    """Pipeline stages 1-4: frontend, AST transforms, lowering and
+    classic cleanups, one span each.
+
+    Returns the pre-schedule CFG every scheduler (and the oracle) is
+    handed, with the unroll and locality stats of the AST transforms.
+    """
+    with observer.span("frontend"):
+        program_ast = frontend(source, name)
+    validator.lint_source(program_ast)
+
+    unroll_stats = None
+    locality_stats = None
+    with observer.span("ast-transforms", locality=options.locality,
+                       unroll=options.unroll,
+                       predicate=options.predicate):
+        if options.locality:
+            locality_stats = analyze_locality(program_ast)
+        if options.unroll:
+            unroll_stats = unroll_program(program_ast, options.unroll)
+        if options.predicate:
+            predicate_program(program_ast)
+
+    with observer.span("lower") as span:
+        cfg = lower(program_ast)
+        if observer.enabled:
+            span.annotate(**_cfg_stats(cfg))
+    validator.after_pass(cfg, "lower")
+
+    with observer.span("cleanups",
+                       extra_opts=options.extra_opts) as span:
+        if options.classic_opts:
+            fold_constants(cfg)
+            validator.after_pass(cfg, "opt.constfold")
+            propagate_copies(cfg)
+            validator.after_pass(cfg, "opt.copyprop")
+            eliminate_dead_code(cfg)
+            validator.after_pass(cfg, "opt.dce")
+        if options.extra_opts:
+            from ..opt.cse import eliminate_common_subexpressions
+            from ..opt.licm import hoist_loop_invariants
+
+            eliminate_common_subexpressions(cfg)
+            validator.after_pass(cfg, "opt.cse")
+            hoist_loop_invariants(cfg)
+            validator.after_pass(cfg, "opt.licm")
+            propagate_copies(cfg)
+            validator.after_pass(cfg, "opt.copyprop")
+            eliminate_dead_code(cfg)
+            validator.after_pass(cfg, "opt.dce")
+        if observer.enabled:
+            span.annotate(**_cfg_stats(cfg))
+    return cfg, unroll_stats, locality_stats
+
+
 def compile_source(source: str, options: Options = Options(),
                    name: str = "program",
                    observer: Observer = NULL_OBSERVER,
                    validator=None) -> CompileResult:
     """Compile *source* under *options* to an executable program.
 
-    An enabled *observer* gets one nested trace span per pipeline
-    phase, each annotated with the IR shape after the phase
-    (blocks/instructions/loads), plus per-load schedule provenance
-    from the block scheduler.  The default observer is a no-op and
-    changes nothing.
+    Every pipeline stage runs inside its own *observer* span, which
+    times it (the spans are the harness's only clock).  An enabled
+    observer also annotates each span with the IR shape after the
+    stage (blocks/instructions/loads) and records per-load schedule
+    provenance from the block scheduler.  The default observer changes
+    nothing.
 
     An enabled *validator* (:class:`repro.check.PipelineValidator`)
     re-checks the IR invariants at every pass boundary and the
@@ -179,68 +237,20 @@ def compile_source(source: str, options: Options = Options(),
     options.validate()
     if validator is None:
         validator = validator_from_env(observer)
-    phase_start = time.perf_counter()
     with observer.span("compile", benchmark=name,
                        options=options.label()):
-        with observer.span("frontend"):
-            program_ast = frontend(source, name)
-        validator.lint_source(program_ast)
+        cfg, unroll_stats, locality_stats = lower_source(
+            source, options, name, observer, validator)
 
-        unroll_stats = None
-        locality_stats = None
-        with observer.span("ast-transforms", locality=options.locality,
-                           unroll=options.unroll,
-                           predicate=options.predicate):
-            if options.locality:
-                locality_stats = analyze_locality(program_ast)
-            if options.unroll:
-                unroll_stats = unroll_program(program_ast,
-                                              options.unroll)
-            if options.predicate:
-                predicate_program(program_ast)
-
-        with observer.span("lower") as span:
-            cfg = lower(program_ast)
-            if observer.enabled:
-                span.annotate(**_cfg_stats(cfg))
-        validator.after_pass(cfg, "lower")
-
-        with observer.span("cleanups",
-                           extra_opts=options.extra_opts) as span:
-            if options.classic_opts:
-                fold_constants(cfg)
-                validator.after_pass(cfg, "opt.constfold")
-                propagate_copies(cfg)
-                validator.after_pass(cfg, "opt.copyprop")
-                eliminate_dead_code(cfg)
-                validator.after_pass(cfg, "opt.dce")
-            if options.extra_opts:
-                from ..opt.cse import eliminate_common_subexpressions
-                from ..opt.licm import hoist_loop_invariants
-
-                eliminate_common_subexpressions(cfg)
-                validator.after_pass(cfg, "opt.cse")
-                hoist_loop_invariants(cfg)
-                validator.after_pass(cfg, "opt.licm")
-                propagate_copies(cfg)
-                validator.after_pass(cfg, "opt.copyprop")
-                eliminate_dead_code(cfg)
-                validator.after_pass(cfg, "opt.dce")
-            if observer.enabled:
-                span.annotate(**_cfg_stats(cfg))
-
-        compile_done = time.perf_counter()
         model = make_weight_model(options)
         trace_stats = None
         profile = None
-        profile_seconds = 0.0
         validator.before_schedule(cfg)
         with observer.span("schedule", scheduler=options.scheduler,
                            trace=options.trace) as span:
             if options.trace and model is not None:
-                profile_start = time.perf_counter()
-                profile = _collect_profile(cfg, options)
-                profile_seconds = time.perf_counter() - profile_start
+                with observer.span("profile"):
+                    profile = _collect_profile(cfg, options)
                 trace_stats = trace_schedule(cfg, profile, model)
                 validator.after_schedule(cfg, "sched.trace",
                                          mode="trace")
@@ -266,7 +276,6 @@ def compile_source(source: str, options: Options = Options(),
                         loops_attempted=modulo_stats.attempted,
                         loops_pipelined=modulo_stats.pipelined)
             validator.after_swp(cfg, modulo_stats.kernels)
-        schedule_done = time.perf_counter()
 
         validator.before_regalloc(cfg)
         with observer.span("regalloc") as span:
@@ -274,25 +283,16 @@ def compile_source(source: str, options: Options = Options(),
             if observer.enabled:
                 span.annotate(spill_slots=allocation.n_slots)
         validator.after_regalloc(cfg, allocation)
-        regalloc_done = time.perf_counter()
         with observer.span("linearize-verify") as span:
             program = cfg.linearize()
             verify_program(program)
             if observer.enabled:
                 span.annotate(static_instructions=len(program))
-    phase_seconds = {
-        "compile": compile_done - phase_start,
-        "schedule": schedule_done - compile_done - profile_seconds,
-        "regalloc": regalloc_done - schedule_done,
-    }
-    if profile is not None:
-        phase_seconds["profile"] = profile_seconds
     return CompileResult(program=program, cfg=cfg, options=options,
                          allocation=allocation, unroll_stats=unroll_stats,
                          locality_stats=locality_stats,
                          trace_stats=trace_stats, profile=profile,
-                         modulo_stats=modulo_stats,
-                         phase_seconds=phase_seconds)
+                         modulo_stats=modulo_stats)
 
 
 def _collect_profile(cfg: Cfg, options: Options) -> ProfileData:

@@ -18,8 +18,8 @@ The grid points are embarrassingly parallel: ``sweep(jobs=N)`` fans
 the uncached points out over a :class:`ProcessPoolExecutor` (one
 worker call per ``(benchmark, scheduler, config)`` point) and returns
 results in deterministic grid order regardless of completion order.
-Every executed point records per-phase wall-clock timings (compile /
-schedule / profile / regalloc / simulate), simulated-instruction
+Every executed point records its phase timings (the self seconds of
+the observer spans inside its ``grid-point`` span), simulated-instruction
 throughput and its fast-engine code-cache hits and misses.  ``sweep``
 writes a structured JSON *run manifest* next to the cache; it is the
 only record of a sweep, and also counts the torn store entries the
@@ -89,8 +89,11 @@ MANIFEST_NAME = "run-manifest.json"
 #: ``repro analyze --attach``, gated exactly by ``repro obs-diff``).
 #: v7 added the per-run ``code_cache_hits``/``code_cache_misses`` and
 #: the sweep-level ``store_errors``/``orphans_reaped`` counts; older
-#: readers reject the new run keys.
-MANIFEST_VERSION = 7
+#: readers reject the new run keys.  v8 keys ``phase_seconds`` by span
+#: name (self seconds, summing to ``total_seconds``): ``compile`` is
+#: now only the glue inside ``compile_source``, and ``sim_codegen`` is
+#: folded into ``sim-build``.
+MANIFEST_VERSION = 8
 
 
 @dataclass
@@ -148,10 +151,11 @@ class RunTiming:
     scheduler: str
     config: str
     cached: bool
-    #: Seconds per phase: ``compile`` (frontend + AST transforms +
-    #: lowering + cleanups), ``schedule``, ``profile`` (trace configs),
-    #: ``regalloc``, ``simulate`` and ``sim_codegen`` (fast engine).
+    #: Self seconds per span name, for every span opened inside the
+    #: point's ``grid-point`` span (``grid-point`` itself included);
+    #: empty for cached points.
     phase_seconds: dict[str, float] = field(default_factory=dict)
+    #: Sum of ``phase_seconds``: the ``grid-point`` span's duration.
     total_seconds: float = 0.0
     simulated_instructions: int = 0
     #: Full software-pipelining record (ModuloStats.to_json()) for
@@ -323,9 +327,10 @@ def _execute_grid_point(workload: Workload, scheduler: str,
                         observer: Observer = NULL_OBSERVER,
                         machine: Optional[MachineConfig] = None
                         ) -> tuple[RunResult, RunTiming]:
-    """Compile and simulate one grid point, with phase timings."""
+    """Compile and simulate one grid point; its phases are the self
+    seconds of the spans inside its ``grid-point`` span."""
     hits, misses = fastsim.code_cache_hits, fastsim.code_cache_misses
-    start = time.perf_counter()
+    observer.take_seconds()     # drop spans timed before this point
     with observer.span("grid-point", benchmark=workload.name,
                        scheduler=scheduler, config=config):
         options = options_for(scheduler, config, machine=machine)
@@ -333,8 +338,10 @@ def _execute_grid_point(workload: Workload, scheduler: str,
                                   workload.name, observer=observer)
         stall_profile = observer.stall_profile(workload.name, scheduler,
                                                config)
-        sim = Simulator(compiled.program, config=options.config,
-                        stall_profile=stall_profile)
+        with observer.span("sim-build"):
+            sim = Simulator(compiled.program, config=options.config,
+                            stall_profile=stall_profile)
+            sim.build()
         with observer.span("simulate") as span:
             metrics = sim.run()
             if observer.enabled:
@@ -342,11 +349,7 @@ def _execute_grid_point(workload: Workload, scheduler: str,
                               instructions=metrics.instructions,
                               load_interlock_cycles=(
                                   metrics.load_interlock_cycles))
-    total_seconds = time.perf_counter() - start
-    phases = dict(compiled.phase_seconds)
-    phases["simulate"] = sim.run_seconds
-    if sim.codegen_seconds:
-        phases["sim_codegen"] = sim.codegen_seconds
+    phases = observer.take_seconds()
     result = RunResult(
         benchmark=workload.name, scheduler=scheduler, config=config,
         total_cycles=metrics.total_cycles,
@@ -378,7 +381,8 @@ def _execute_grid_point(workload: Workload, scheduler: str,
         modulo = ms.to_json()
     timing = RunTiming(
         benchmark=workload.name, scheduler=scheduler, config=config,
-        cached=False, phase_seconds=phases, total_seconds=total_seconds,
+        cached=False, phase_seconds=phases,
+        total_seconds=sum(phases.values()),
         simulated_instructions=metrics.instructions, modulo=modulo,
         sim_mode=sim.mode_used,
         code_cache_hits=fastsim.code_cache_hits - hits,
@@ -499,14 +503,12 @@ class ExperimentRunner:
             return self._memory[key]
         workload = WORKLOADS[benchmark]
         store_key = self._store_key(workload, scheduler, config)
-        start = time.perf_counter()
         result = None if self.observer.enabled else \
             self._load_cached(store_key)
         if result is not None:
             self.timings[key] = RunTiming(
                 benchmark=benchmark, scheduler=scheduler, config=config,
-                cached=True, total_seconds=time.perf_counter() - start,
-                simulated_instructions=result.instructions)
+                cached=True, simulated_instructions=result.instructions)
         else:
             if self.verbose:
                 print(f"  running {benchmark} / {scheduler} / {config}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import time
 from typing import TYPE_CHECKING, Optional
 
 from ..isa import MachineProgram, OpClass, Reg
@@ -102,7 +101,7 @@ class Simulator:
         self.config = config
         self.profiling = profile
         self.mode = mode
-        #: Engine that actually executed the last :meth:`run`.
+        #: Engine :meth:`build` chose, which :meth:`run` executes.
         self.mode_used: Optional[str] = None
         #: Optional per-PC stall attribution sink (obs.StallProfile).
         #: None (the default) keeps the hot loop on the fast path: one
@@ -159,13 +158,9 @@ class Simulator:
                 self._block_starts[index] = label
 
         self.metrics = Metrics()
-        #: Wall-clock seconds of the last :meth:`run` (harness
-        #: observability: simulated-instructions-per-second throughput).
-        self.run_seconds: float = 0.0
-        self.codegen_seconds: float = 0.0
         self._ran = False
         self._decoded = self._predecode()
-        self._fast_engine = None        # built lazily on first run()
+        self._fast_engine = None
 
     # ---------------------------------------------------------- registers
     def _new_slot(self, initial) -> int:
@@ -247,6 +242,37 @@ class Simulator:
         return decoded
 
     # -------------------------------------------------------------- run
+    def build(self) -> None:
+        """Choose the engine for :meth:`run` and build the fast one.
+
+        Building the fast engine is compilation, not simulation; the
+        harness calls this before :meth:`run` so the two are timed
+        apart.  :meth:`run` calls it too; a second call does nothing.
+        """
+        if self.mode_used is not None:
+            return
+        mode = self.mode
+        if mode == "auto":
+            env = os.environ.get("REPRO_SIM", "").strip()
+            if env and env not in ("fast", "reference"):
+                raise ValueError(
+                    f"REPRO_SIM must be 'fast' or 'reference', "
+                    f"got {env!r}")
+            mode = env or "fast"
+        if mode == "fast":
+            from .fastsim import build_engine
+
+            self._fast_engine = build_engine(self)
+            if self._fast_engine is None:
+                if self.mode == "fast":
+                    raise ValueError(
+                        "mode='fast' requested but this configuration "
+                        "is not supported by the compiled engine "
+                        "(multi-issue, stall attribution, or "
+                        "profiling); use mode='auto' or 'reference'")
+                mode = "reference"
+        self.mode_used = mode
+
     def run(self, max_instructions: int = 200_000_000) -> Metrics:
         """Execute the program once and return its :class:`Metrics`.
 
@@ -263,48 +289,15 @@ class Simulator:
                 "already executed its program; construct a new "
                 "Simulator to run it again")
         self._ran = True
-        mode = self.mode
-        if mode == "auto":
-            env = os.environ.get("REPRO_SIM", "").strip()
-            if env and env not in ("fast", "reference"):
-                raise ValueError(
-                    f"REPRO_SIM must be 'fast' or 'reference', "
-                    f"got {env!r}")
-            mode = env or "fast"
-        # Engine construction is compilation, not simulation: build it
-        # outside the timed window (like ``_predecode`` in __init__) so
-        # ``run_seconds`` measures pure execution.  The codegen cost is
-        # reported separately in ``codegen_seconds``.
-        if mode == "fast":
-            from .fastsim import build_engine
+        self.build()
+        if self.mode_used == "profile":
+            from .fastsim import run_profile
 
-            codegen_start = time.perf_counter()
-            if self._fast_engine is None:
-                self._fast_engine = build_engine(self)
-            self.codegen_seconds = time.perf_counter() - codegen_start
-            if self._fast_engine is None:
-                if self.mode == "fast":
-                    raise ValueError(
-                        "mode='fast' requested but this configuration "
-                        "is not supported by the compiled engine "
-                        "(multi-issue, stall attribution, or "
-                        "profiling); use mode='auto' or 'reference'")
-                mode = "reference"
-        wall_start = time.perf_counter()
-        try:
-            if mode == "profile":
-                from .fastsim import run_profile
-
-                self.mode_used = "profile"
-                run_profile(self, max_instructions)
-            elif mode == "fast":
-                self.mode_used = "fast"
-                self._fast_engine.run(max_instructions)
-            else:
-                self.mode_used = "reference"
-                self._run_reference(max_instructions)
-        finally:
-            self.run_seconds = time.perf_counter() - wall_start
+            run_profile(self, max_instructions)
+        elif self.mode_used == "fast":
+            self._fast_engine.run(max_instructions)
+        else:
+            self._run_reference(max_instructions)
         if os.environ.get("REPRO_VALIDATE_METRICS") == "1":
             self.metrics.validate(issue_width=self.config.issue_width)
         return self.metrics

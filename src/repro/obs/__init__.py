@@ -1,8 +1,10 @@
 """Observability: pipeline tracing, stall attribution, manifest diffs.
 
 Everything hangs off one :class:`Observer` object.  The default
-(:data:`NULL_OBSERVER`) is a no-op — zero cost, no behaviour change;
-a :class:`TracingObserver` records nested pass/phase spans (exported
+(:data:`NULL_OBSERVER`) records only time: every span's self seconds,
+the harness's one clock and the source of each grid point's manifest
+phases, at two clock reads per span and with no behaviour change;
+a :class:`TracingObserver` also records nested pass/phase spans (exported
 as JSONL and Chrome trace-event files loadable in Perfetto),
 per-static-load stall attribution from the simulator, and per-load
 schedule provenance from the block scheduler.  ``repro profile`` and

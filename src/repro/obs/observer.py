@@ -2,13 +2,19 @@
 
 Every layer of the pipeline (frontend driver, scheduler, register
 allocator, simulator, experiment harness) accepts an observer and
-calls it unconditionally; the base class is a no-op whose ``span()``
-returns one shared, reusable null context manager, so the disabled
-path costs a couple of attribute lookups per *compilation phase* and
-exactly one boolean test per *simulated run* — generated code, cycle
-counts and cache fingerprints are untouched.
+calls it unconditionally.  The base class is the disabled observer,
+and it is also the harness's only clock: every ``span()`` reads the
+clock once on enter and once on exit and adds the span's *self*
+seconds (its duration less its child spans) to :attr:`Observer.seconds`,
+a flat ``{span name: seconds}`` dict.  A grid point's phase timings
+are exactly the spans opened inside its ``grid-point`` span
+(:meth:`Observer.take_seconds`).  Nothing else is recorded, so the
+disabled path costs two clock reads per span and one boolean test per
+*simulated run*; generated code, cycle counts and cache fingerprints
+are untouched.
 
-:class:`TracingObserver` is the real thing: it owns a
+:class:`TracingObserver` is the real thing: it keeps the same
+``seconds`` dict and also owns a
 :class:`~repro.obs.trace.TraceRecorder`, a
 :class:`~repro.obs.provenance.ScheduleProvenance`, and one
 :class:`~repro.obs.stall.StallProfile` per simulated grid point.
@@ -17,6 +23,7 @@ counts and cache fingerprints are untouched.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -25,33 +32,59 @@ from .stall import StallProfile
 from .trace import TraceRecorder
 
 
-class _NullSpan:
-    """Reusable no-op span/context manager (one shared instance)."""
+class _TimedSpan:
+    """One disabled-observer span: times itself, records nothing else."""
 
-    __slots__ = ()
+    __slots__ = ("_observer", "_name", "_start")
+
+    def __init__(self, observer: "Observer", name: str) -> None:
+        self._observer = observer
+        self._name = name
 
     def annotate(self, **attrs) -> None:
         pass
 
-    def __enter__(self) -> "_NullSpan":
+    def __enter__(self) -> "_TimedSpan":
+        observer = self._observer
+        observer._children.append(0.0)
+        self._start = observer._clock()
         return self
 
     def __exit__(self, *exc) -> bool:
+        observer = self._observer
+        elapsed = observer._clock() - self._start
+        children = observer._children
+        seconds = observer.seconds
+        seconds[self._name] = (seconds.get(self._name, 0.0) + elapsed
+                               - children.pop())
+        if children:
+            children[-1] += elapsed
         return False
 
 
-_NULL_SPAN = _NullSpan()
-
-
 class Observer:
-    """No-op observability sink; the default everywhere."""
+    """Disabled observability sink (the default everywhere): it times
+    spans and records nothing else."""
 
     enabled: bool = False
     trace: Optional[TraceRecorder] = None
     provenance: Optional[ScheduleProvenance] = None
 
+    def __init__(self,
+                 clock: Callable[[], float] = time.perf_counter) -> None:
+        self._clock = clock
+        #: Self seconds per span name since the last take_seconds().
+        self.seconds: dict[str, float] = {}
+        #: Child seconds of each open span, innermost last.
+        self._children: list[float] = []
+
     def span(self, name: str, **attrs):
-        return _NULL_SPAN
+        return _TimedSpan(self, name)
+
+    def take_seconds(self) -> dict[str, float]:
+        """Return the self seconds recorded so far and start afresh."""
+        seconds, self.seconds = self.seconds, {}
+        return seconds
 
     def event(self, name: str, **attrs) -> None:
         pass
@@ -65,7 +98,7 @@ class Observer:
         return None
 
 
-#: Shared default: observability off.
+#: Shared default: observability off, spans timed.
 NULL_OBSERVER = Observer()
 
 
@@ -76,6 +109,7 @@ class TracingObserver(Observer):
 
     def __init__(self, stalls: bool = True, provenance: bool = True,
                  clock: Callable[[], float] = time.perf_counter) -> None:
+        super().__init__(clock)
         self.trace = TraceRecorder(clock)
         self.provenance = ScheduleProvenance() if provenance else None
         self._record_stalls = stalls
@@ -83,8 +117,10 @@ class TracingObserver(Observer):
         self.stall_profiles: dict[str, StallProfile] = {}
 
     # ------------------------------------------------------------- spans
+    @contextmanager
     def span(self, name: str, **attrs):
-        return self.trace.span(name, **attrs)
+        with super().span(name), self.trace.span(name, **attrs) as span:
+            yield span
 
     def event(self, name: str, **attrs) -> None:
         self.trace.event(name, **attrs)

@@ -3,8 +3,11 @@
 For one ``(benchmark, config)`` grid point this module
 
 1. lowers the workload through the production pipeline's front half
-   (frontend, AST transforms, lowering, classic cleanups) to the same
-   pre-schedule CFG every scheduler sees;
+   (:func:`~repro.harness.compile.lower_source`: frontend, AST
+   transforms, lowering, classic cleanups) to the same pre-schedule
+   CFG every scheduler sees, and weights blocks by the trace
+   scheduler's own profile run
+   (:func:`~repro.harness.compile._collect_profile`);
 2. runs the block oracle on every multi-op block against the balanced
    and traditional list schedules (:mod:`repro.oracle.block`);
 3. **round-trips the oracle schedules through the PR 4 validators**:
@@ -35,18 +38,19 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..analysis.locality import analyze_locality
 from ..check.dependence import check_dependences, snapshot_dependences
-from ..codegen.lower import lower
 from ..codegen.regalloc import allocate_registers
 from ..codegen.verify import verify_program
-from ..frontend import frontend
-from ..harness.compile import Options, make_weight_model
+from ..harness.compile import (
+    Options,
+    _collect_profile,
+    lower_source,
+    make_weight_model,
+)
 from ..harness.experiment import _package_fingerprint, options_for
 from ..harness.store import ResultStore, StoreKey, source_hash
 from ..ir.cfg import Cfg
@@ -56,16 +60,10 @@ from ..ir.loops import find_loops
 from ..machine import (
     DEFAULT_CONFIG,
     MachineConfig,
-    Simulator,
     config_from_json,
     config_hash,
     config_to_json,
 )
-from ..opt.constfold import fold_constants
-from ..opt.copyprop import propagate_copies
-from ..opt.dce import eliminate_dead_code
-from ..opt.predication import predicate_program
-from ..opt.unroll import unroll_program
 from ..sched.block import schedule_cfg
 from ..sched.list_scheduler import list_schedule
 from ..sched.modulo.deps import analyze_deps, match_loop
@@ -121,50 +119,6 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
-
-
-def _lower_for_oracle(source: str, options: Options,
-                      name: str) -> Cfg:
-    """The production pipeline's front half: the pre-schedule CFG.
-
-    Mirrors :func:`~repro.harness.compile.compile_source` stages 1-4
-    (frontend, AST transforms, lowering, classic cleanups) without the
-    scheduling/regalloc back half, so the oracle reasons about exactly
-    the blocks the heuristic schedulers are handed.
-    """
-    program_ast = frontend(source, name)
-    if options.locality:
-        analyze_locality(program_ast)
-    if options.unroll:
-        unroll_program(program_ast, options.unroll)
-    if options.predicate:
-        predicate_program(program_ast)
-    cfg = lower(program_ast)
-    if options.classic_opts:
-        fold_constants(cfg)
-        propagate_copies(cfg)
-        eliminate_dead_code(cfg)
-    if options.extra_opts:
-        from ..opt.cse import eliminate_common_subexpressions
-        from ..opt.licm import hoist_loop_invariants
-
-        eliminate_common_subexpressions(cfg)
-        hoist_loop_invariants(cfg)
-        propagate_copies(cfg)
-        eliminate_dead_code(cfg)
-    return cfg
-
-
-def _profile_block_counts(cfg: Cfg, options: Options) -> dict:
-    """Execution count per block label (for dynamic gap weighting),
-    measured exactly like the trace scheduler's profile pass."""
-    snapshot = deepcopy(cfg)
-    allocate_registers(snapshot)
-    program = snapshot.linearize()
-    sim = Simulator(program, config=options.config, profile=True,
-                    mode="profile")
-    sim.run()
-    return dict(sim.block_counts)
 
 
 def _analyze_blocks(cfg: Cfg, options: Options,
@@ -228,7 +182,7 @@ def _analyze_loops(source: str, options: Options, name: str,
     list scheduling), the dependence graph and latency model are the
     production ones, and the same size gates apply.
     """
-    cfg = _lower_for_oracle(source, options, name)
+    cfg, _, _ = lower_source(source, options, name)
     model = make_weight_model(options)
     schedule_cfg(cfg, model)
     live_in, _ = liveness(cfg)
@@ -304,8 +258,8 @@ def analyze_point(benchmark: str, config: str,
     """Full gap analysis of one grid point; deterministic payload."""
     workload = WORKLOADS[benchmark]
     options = options_for("balanced", config, machine=machine)
-    cfg = _lower_for_oracle(workload.source, options, workload.name)
-    block_counts = _profile_block_counts(cfg, options)
+    cfg, _, _ = lower_source(workload.source, options, workload.name)
+    block_counts = _collect_profile(cfg, options).block_counts
     blocks = _analyze_blocks(cfg, options, budget)
     _validate_oracle_schedules(cfg, blocks)
     loops = _analyze_loops(workload.source, options, workload.name,

@@ -23,7 +23,7 @@ def _sweep(tmp_path, **kwargs):
 def test_manifest_loads_into_equal_dataclasses(tmp_path):
     runner = _sweep(tmp_path)
     manifest = load_manifest(runner.manifest_path)
-    assert manifest.version == 7
+    assert manifest.version == 8
     assert manifest.partial is False
     assert manifest.grid_points == 2
     assert manifest.executed == 2 and manifest.cached == 0

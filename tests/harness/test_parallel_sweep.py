@@ -4,10 +4,13 @@ deterministic grid order, and the run manifest records observability."""
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro.check import ENV_FLAG
 from repro.harness.experiment import (
+    CONFIGS,
     ExperimentRunner,
     MANIFEST_NAME,
     RunTiming,
@@ -61,24 +64,37 @@ def test_second_sweep_hits_disk_cache(tmp_path):
                for r in results)
 
 
+#: The spans every executed grid point opens.
+POINT_SPANS = {"grid-point", "compile", "frontend", "ast-transforms",
+               "lower", "cleanups", "schedule", "regalloc",
+               "linearize-verify", "sim-build", "simulate"}
+
+
 def test_manifest_records_phases_and_throughput(tmp_path):
     runner = ExperimentRunner(cache_dir=tmp_path, jobs=2)
     runner.sweep(benchmarks=["ora"], schedulers=("balanced",),
-                 configs=["base", "trs4"])
+                 configs=["base", "trs4", "swp"])
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
     assert manifest["fingerprint"] == runner._fingerprint
-    assert manifest["grid_points"] == 2
-    assert manifest["executed"] == 2 and manifest["cached"] == 0
+    assert manifest["grid_points"] == 3
+    assert manifest["executed"] == 3 and manifest["cached"] == 0
     assert manifest["wall_seconds"] > 0
     for entry in manifest["runs"]:
-        phases = set(entry["phase_seconds"])
-        assert {"compile", "schedule", "regalloc", "simulate"} <= \
-            phases <= {"compile", "schedule", "profile", "regalloc",
-                       "simulate", "sim_codegen"}
-        # Only trace configs run the profile simulation, billed apart
-        # from the scheduling around it.
-        assert ("profile" in phases) == (entry["config"] == "trs4")
-        assert all(value >= 0 for value in entry["phase_seconds"].values())
+        phases = entry["phase_seconds"]
+        knobs = CONFIGS[entry["config"]]
+        # The phases are the spans the point opened: the trace profile
+        # run only for trace configs, software pipelining only for swp
+        # configs, and the pass-boundary checks when IR is validated.
+        expected = set(POINT_SPANS)
+        if knobs.get("trace"):
+            expected.add("profile")
+        if knobs.get("swp"):
+            expected.add("swp")
+        if os.environ.get(ENV_FLAG) == "1":
+            expected.add("validate")
+        assert set(phases) == expected
+        assert all(value >= 0 for value in phases.values())
+        assert sum(phases.values()) == entry["total_seconds"]
         assert entry["instructions_per_second"] > 0
         assert entry["simulated_instructions"] > 0
         assert entry["total_cycles"] > 0

@@ -35,8 +35,6 @@ def state_dict(sim):
     nested cache/TLB stats), final memory, final registers."""
     d = {}
     for key, value in vars(sim.metrics).items():
-        if key == "run_seconds":
-            continue
         if hasattr(value, "__dict__"):
             for k2, v2 in vars(value).items():
                 d[f"{key}.{k2}"] = v2

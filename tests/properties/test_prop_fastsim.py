@@ -18,8 +18,6 @@ from repro.machine import Simulator
 def _state(sim):
     d = {}
     for key, value in vars(sim.metrics).items():
-        if key == "run_seconds":
-            continue
         if hasattr(value, "__dict__"):
             for k2, v2 in vars(value).items():
                 d[f"{key}.{k2}"] = v2

@@ -2,8 +2,9 @@
 
 Three levels of evidence on random DAGs:
 
-* the oracle's certified makespan never exceeds any list-scheduling
-  heuristic's (it minimizes over a superset of schedules);
+* the oracle's makespan never exceeds any list-scheduling
+  heuristic's (it minimizes over a superset of schedules), and it is
+  certified optimal unless the search used up its node budget;
 * every oracle witness is a legal schedule (topological, latencies
   respected, one op per issue slot);
 * on tiny DAGs (<= 7 nodes) the certified optima match exhaustive
@@ -15,11 +16,12 @@ Three levels of evidence on random DAGs:
 
 from itertools import permutations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.machine import DEFAULT_CONFIG
 from repro.oracle.block import (
+    STATUS_FEASIBLE,
     STATUS_OPTIMAL,
     block_problem,
     greedy_issue_times,
@@ -29,6 +31,7 @@ from repro.oracle.block import (
     schedule_cost,
     stall_loads,
 )
+from repro.oracle.solver import Budget
 from repro.sched import BalancedWeights, TraditionalWeights, list_schedule
 from repro.workloads import random_dag
 
@@ -39,28 +42,46 @@ dag_params = st.tuples(
 )
 
 
-def _oracle(dag):
+def _oracle(dag, budget=None):
     balanced = BalancedWeights()
     weights = balanced.weights(dag)
     seeds = {
         "balanced": list_schedule(dag, balanced),
         "traditional": list_schedule(dag, TraditionalWeights()),
     }
-    return oracle_block(dag, DEFAULT_CONFIG, weights, seeds), weights
+    return oracle_block(dag, DEFAULT_CONFIG, weights, seeds,
+                        budget=budget), weights
 
 
+#: A drawn DAG whose proof needs more than the default 200,000 nodes.
+HARD_DAG = (12, 9242, 1)
+
+
+@example(HARD_DAG)
 @given(dag_params)
 @settings(max_examples=40, deadline=None)
 def test_oracle_cost_bounds_every_heuristic(params):
     size, seed, load_tenths = params
     dag = random_dag(size, seed=seed, load_fraction=load_tenths / 10)
-    result, _ = _oracle(dag)
-    assert result.status == STATUS_OPTIMAL
+    budget = Budget()
+    result, _ = _oracle(dag, budget)
+    # The oracle's contract: "feasible" only when the node budget ran
+    # out, "optimal" otherwise.
+    assert result.status == (STATUS_FEASIBLE if budget.exhausted
+                             else STATUS_OPTIMAL)
     for name, (h_makespan, h_stall) in result.heuristics.items():
         assert result.makespan <= h_makespan, name
         assert (result.makespan, result.stall) \
             <= (h_makespan, h_stall), name
         assert result.total <= h_makespan + h_stall, name
+
+
+def test_hard_dag_certified_with_a_larger_budget():
+    size, seed, load_tenths = HARD_DAG
+    dag = random_dag(size, seed=seed, load_fraction=load_tenths / 10)
+    result, _ = _oracle(dag, Budget(max_nodes=2_000_000))
+    assert result.status == STATUS_OPTIMAL
+    assert (result.makespan, result.stall) == (13, 0)
 
 
 @given(dag_params)

@@ -3,13 +3,16 @@
 For every (workload, config, scheduler) point of the paper's combined-
 optimization grid, the compiled fast engine must agree with the
 reference interpreter on cycles, the interlock split, MSHR stalls and
-every final data-symbol value.  This is the contract that lets the
-harness default to the fast engine: any drift here is a correctness
-bug in one of the two engines, never an acceptable approximation.
+every final data-symbol value, and with a ``StallProfile`` attached
+to both engines, on all six per-pc stall dicts.  This is the contract
+that lets the harness default to the fast engine, for stall
+attribution too: any drift here is a correctness bug in one of the
+two engines, never an acceptable approximation.
 
 Each workload is one test so failures localize; the grid walk shares
-compiled programs between the two engines (compile once, simulate
-twice).
+compiled programs between the engines (compile once, simulate three
+times: profiled reference, unprofiled fast — the default engine — and
+profiled fast).
 """
 
 import pytest
@@ -18,6 +21,7 @@ from repro.harness.experiment import options_for
 from repro.harness.compile import compile_source
 from repro.harness.tables import TABLE6_CONFIGS
 from repro.machine import Simulator
+from repro.obs import StallProfile
 from repro.workloads import WORKLOAD_ORDER, WORKLOADS
 
 GRID_CONFIGS = ("base",) + tuple(TABLE6_CONFIGS)
@@ -32,6 +36,9 @@ CHECKED_FIELDS = (
     "dtlb_misses", "itlb_misses", "branch_mispredicts",
 )
 
+PROFILE_FIELDS = ("exec_counts", "load_interlock", "fixed_interlock",
+                  "load_hits", "load_misses", "mshr_stalls")
+
 
 @pytest.mark.parametrize("name", WORKLOAD_ORDER)
 def test_fast_matches_reference_on_table6_grid(name):
@@ -41,18 +48,27 @@ def test_fast_matches_reference_on_table6_grid(name):
             program = compile_source(
                 workload.source, options_for(scheduler, config),
                 name).program
-            ref = Simulator(program, mode="reference")
+            ref_profile, profile = StallProfile(), StallProfile()
+            ref = Simulator(program, mode="reference",
+                            stall_profile=ref_profile)
             ref.run()
             fast = Simulator(program, mode="fast")
             fast.run()
+            profiled = Simulator(program, mode="fast",
+                                 stall_profile=profile)
+            profiled.run()
             point = f"{name}/{config}/{scheduler}"
-            assert fast.mode_used == "fast", point
-            for field in CHECKED_FIELDS:
-                assert getattr(fast.metrics, field) == \
-                    getattr(ref.metrics, field), (point, field)
-            for level in ("l1d", "l1i", "l2", "l3"):
-                assert vars(getattr(fast.metrics, level)) == \
-                    vars(getattr(ref.metrics, level)), (point, level)
-            for symbol in program.symbols:
-                assert fast.get_symbol(symbol) == \
-                    ref.get_symbol(symbol), (point, symbol)
+            for sim in (fast, profiled):
+                assert sim.mode_used == "fast", point
+                for field in CHECKED_FIELDS:
+                    assert getattr(sim.metrics, field) == \
+                        getattr(ref.metrics, field), (point, field)
+                for level in ("l1d", "l1i", "l2", "l3"):
+                    assert vars(getattr(sim.metrics, level)) == \
+                        vars(getattr(ref.metrics, level)), (point, level)
+                for symbol in program.symbols:
+                    assert sim.get_symbol(symbol) == \
+                        ref.get_symbol(symbol), (point, symbol)
+            for field in PROFILE_FIELDS:
+                assert getattr(profile, field) == \
+                    getattr(ref_profile, field), (point, field)

@@ -4,8 +4,8 @@ The reference interpreter in :mod:`repro.machine.simulator` pays a
 per-instruction tax for generality: tuple unpacking of the decoded
 form, dict-based class counting, dispatch over opcode ranges, and a
 Python-level readiness loop.  This module removes that tax for the
-paper's machine (single issue, one memory port, no stall attribution)
-by *compiling* each basic block to a specialized Python function:
+paper's machine (single issue, one memory port) by *compiling* each
+basic block to a specialized Python function:
 
 * **Timing mode** (:func:`build_engine`) emits one function per basic
   block.  It inlines the decoded fields as literals (register slots,
@@ -18,14 +18,19 @@ by *compiling* each basic block to a specialized Python function:
   not memoized: a guarded steady-state variant doubles the generated
   source and the build time, and on the paper's grid its guards fail
   too often for simulation to gain (docs/INTERNALS.md §6).
+* **Stall attribution** rides on timing mode when the simulator has a
+  ``StallProfile``: every interlock cycle is charged to the producer
+  pc of the operand that became ready last, by the interpreter's
+  rules, and the per-pc counts land in the profile at finalize.  An
+  unprofiled build generates no attribution code at all.
 * **Profile mode** (:func:`run_profile`) executes architecturally
   only: registers, memory, branch outcomes, and the block/edge
   frequencies the compiler's trace picker needs — no timing, cache or
   predictor state at all.  Cycle counters are placeholders.
 
 ``build_engine`` returns ``None`` whenever the configuration needs
-the interpreter (multi-issue, multiple memory ports, stall
-attribution, profiling), keeping the fallback decision in one place.
+the interpreter (multi-issue, multiple memory ports, block-frequency
+profiling), keeping the fallback decision in one place.
 """
 
 from __future__ import annotations
@@ -63,12 +68,16 @@ def _leaders(decoded, extra=()):
 class _Gen:
     """Source generator for one simulator's block functions."""
 
-    def __init__(self, sim):
+    def __init__(self, sim, attribute=False):
         self.sim = sim
         self.cfg = sim.config
         self.d = sim._decoded
         self.memb = len(sim.memory) << 3
+        #: Emit per-pc stall attribution (a StallProfile is attached).
+        self.attribute = attribute
         self.out: list[str] = []
+        #: ``(name, start, end, first line in out)`` per block function.
+        self.funcs: list[tuple] = []
         self.ctr = [0] * _NCTR
         #: Per-block execution counters: block bodies bump a single
         #: dedicated ctr slot; statically known per-execution counts
@@ -271,11 +280,19 @@ class _Gen:
         common case.  Mid-block raises leave the shared arrays at the
         previous commit point — post-error architectural state is
         non-contractual (the interpreter's is per-instruction).
+
+        With attribution on, an in-block producer's pc is a literal,
+        a block-entry operand's comes from the per-slot ``PPC`` list
+        that the commit writes next to ``RDY``/``F``, and misses and
+        MSHR-full stalls count on the ``_dload`` path (an inlined L1
+        hit is a hit, and hits are executions less misses).
         """
         d = self.d
         w = self.w
         cfg = self.cfg
         sim = self.sim
+        attribute = self.attribute
+        self.funcs.append((name, start, end, len(self.out)))
         w(1, f"def {name}(t, lastL, lastP):")
         ind = 2
         self._batches(ind, start, end)
@@ -298,8 +315,10 @@ class _Gen:
                 if lat is not None and lat <= kc - pp:
                     return None         # statically ready
                 qv, fload = srdy[slot]
-                return (qv, "True" if fload else "False", dest_read)
-            return (f"RDY[{slot}]", f"F[{slot}]", dest_read)
+                return (qv, "True" if fload else "False", dest_read,
+                        str(start + pp))
+            return (f"RDY[{slot}]", f"F[{slot}]", dest_read,
+                    f"PPC[{slot}]")
 
         def check(kc, reads, dread=None):
             ent = [rentry(s, kc) for s in reads]
@@ -313,6 +332,8 @@ class _Gen:
             for slot, (qv, fload) in srdy.items():
                 w(ind, f"RDY[{slot}] = {qv}")
                 w(ind, f"F[{slot}] = {fload}")
+                if attribute:
+                    w(ind, f"PPC[{slot}] = {start + elig[slot][0]}")
 
         K = 0
         for p in range(start, end):
@@ -357,7 +378,12 @@ class _Gen:
                 w(body, "if st:")
                 w(body + 1, "ctr[4] += st")
                 w(body + 1, "ctr[0] += st")
+                if attribute:
+                    w(body + 1, f"MSA[{p}] += st")
+                    w(body + 1, f"LIA[{p}] += st")
                 w(body + 1, "t += st")
+                if attribute:
+                    w(body, f"MISS[{p}] += lat > {l1d_lat}")
                 if qneed:
                     w(body, f"q{n} = t + lat" +
                       (f" + {K}" if K else ""))
@@ -473,20 +499,32 @@ class _Gen:
         """Scoreboard check over expression operands.
 
         *entries* is a list of ``(ready_expr, from_load_expr,
-        is_dest_read)``; ``from_load_expr`` may be the literal
-        ``"True"``/``"False"`` for in-block producers, which folds the
-        attribution branches.  Interlock cycles accumulate into the
-        load/fixed interlock counter slots.
+        is_dest_read, producer_pc_expr)``; ``from_load_expr`` may be
+        the literal ``"True"``/``"False"`` for in-block producers,
+        which folds the attribution branches.  Interlock cycles
+        accumulate into the load/fixed interlock counter slots and,
+        with attribution on, into the producer pc's ``LIA``/``FIA``
+        entry.  The charge goes to the operand that becomes ready
+        last; a later load operand ready in the same cycle takes it
+        over, and a dest read never takes a tie (the interpreter's
+        rules).
         """
         w = self.w
         li = f"ctr[{_LI}]"
         fi = f"ctr[{_FI}]"
         tk = f"t + {K}" if K else "t"
         dl = f" - {K}" if K else ""
+        attribute = self.attribute
+
+        def charge(ind, load, amount, pc):
+            w(ind, f"{li if load else fi} += {amount}")
+            if attribute:
+                w(ind, f"{'LIA' if load else 'FIA'}[{pc}] += {amount}")
+
         # An exact duplicate operand (same ready expr, same producer)
         # is a no-op after its first occurrence: the second main check
         # can never raise s further, and its tie elif can only re-set
-        # a flag the first occurrence already determined.
+        # a flag and a producer the first occurrence already set.
         seen = set()
         entries = [e for e in entries
                    if not (e in seen or seen.add(e))]
@@ -496,68 +534,75 @@ class _Gen:
         # expressions directly and only bind them to locals inside the
         # (rare) stall branch, re-reading the scoreboard there.
         if len(entries) == 1 and not entries[0][2]:
-            rx, fl, _ = entries[0]
+            rx, fl, _, pc = entries[0]
             w(ind, f"if {rx} > {tk}:")
-            if fl == "True":
-                w(ind + 1, f"{li} += {rx} - t{dl}")
-            elif fl == "False":
-                w(ind + 1, f"{fi} += {rx} - t{dl}")
+            if fl in ("True", "False"):
+                charge(ind + 1, fl == "True", f"{rx} - t{dl}", pc)
             else:
                 w(ind + 1, f"r0 = {rx}")
                 rx = "r0"
                 w(ind + 1, f"if {fl}:")
-                w(ind + 2, f"{li} += {rx} - t{dl}")
+                charge(ind + 2, True, f"{rx} - t{dl}", pc)
                 w(ind + 1, "else:")
-                w(ind + 2, f"{fi} += {rx} - t{dl}")
+                charge(ind + 2, False, f"{rx} - t{dl}", pc)
             w(ind + 1, f"t = {rx}{dl}")
             return
-        cond = " or ".join(f"{rx} > {tk}" for rx, _, _ in entries)
+        cond = " or ".join(f"{e[0]} > {tk}" for e in entries)
         w(ind, f"if {cond}:")
         names = []
-        for i, (rx, fl, dr) in enumerate(entries):
+        for i, (rx, fl, dr, pc) in enumerate(entries):
             if rx.startswith("RDY["):
                 w(ind + 1, f"r{i} = {rx}")
-                names.append((f"r{i}", fl, dr))
+                names.append((f"r{i}", fl, dr, pc))
             else:
-                names.append((rx, fl, dr))
+                names.append((rx, fl, dr, pc))
         w(ind + 1, f"s = {tk}")
         # When every producer has the same constant attribution the
         # interlock flag is statically known: all-fixed makes il False
         # on every path, and all-load makes it True — the outer cond
         # guarantees at least one raise, and every raise (including a
-        # dest read) sets the flag, so only the max matters.
-        fls = {fl for _, fl, _ in entries}
+        # dest read) sets the flag, so only the max matters.  The
+        # producer pc still follows the tie rule.
+        fls = {e[1] for e in entries}
         if fls == {"False"} or fls == {"True"}:
-            for nm, _, _ in names:
+            for i, (nm, fl, dr, pc) in enumerate(names):
                 w(ind + 1, f"if {nm} > s:")
                 w(ind + 2, f"s = {nm}")
-            sink = li if fls == {"True"} else fi
-            w(ind + 1, f"{sink} += s - t{dl}")
+                if attribute:
+                    w(ind + 2, f"pp = {pc}")
+                    if fl == "True" and i > 0 and not dr:
+                        w(ind + 1, f"elif {nm} == s and s > {tk}:")
+                        w(ind + 2, f"pp = {pc}")
+            charge(ind + 1, fls == {"True"}, f"s - t{dl}", "pp")
             w(ind + 1, f"t = s{dl}")
             return
         w(ind + 1, "il = False")
-        for i, (nm, fl, dr) in enumerate(names):
+        for i, (nm, fl, dr, pc) in enumerate(names):
             w(ind + 1, f"if {nm} > s:")
             w(ind + 2, f"s = {nm}")
             w(ind + 2, f"il = {fl}")
-            if i > 0 and not dr:
+            if attribute:
+                w(ind + 2, f"pp = {pc}")
+            if i > 0 and not dr and fl != "False":
                 if fl == "True":
                     w(ind + 1, f"elif {nm} == s and s > {tk}:")
-                    w(ind + 2, "il = True")
-                elif fl != "False":
+                else:
                     w(ind + 1,
                       f"elif {nm} == s and {fl} and s > {tk}:")
-                    w(ind + 2, "il = True")
+                w(ind + 2, "il = True")
+                if attribute:
+                    w(ind + 2, f"pp = {pc}")
         w(ind + 1, "if il:")
-        w(ind + 2, f"{li} += s - t{dl}")
+        charge(ind + 2, True, f"s - t{dl}", "pp")
         w(ind + 1, "else:")
-        w(ind + 2, f"{fi} += s - t{dl}")
+        charge(ind + 2, False, f"s - t{dl}", "pp")
         w(ind + 1, f"t = s{dl}")
 
     # --------------------------------------------------- profile blocks
     def emit_profile(self, name, start, end, label):
         d = self.d
         w = self.w
+        self.funcs.append((name, start, end, len(self.out)))
         w(1, f"def {name}(cur):")
         ind = 2
         if label is not None:
@@ -629,14 +674,20 @@ _PROFILE_BINDINGS = [
     "BC = S.block_counts", "EC = S.edge_counts",
 ]
 
+#: A profiled build's factories also take ``A``, the attribution
+#: lists: producer pc per register slot, and per pc the load and
+#: fixed interlock cycles it caused, its MSHR-full stalls and misses.
+_ATTRIBUTION_BINDINGS = ["PPC, LIA, FIA, MSA, MISS = A"]
+
 
 #: Compiled code-object cache keyed by generated source.  Bytecode
 #: compilation dominates engine-build time (~75%); the generated source
 #: is a pure function of (program, config, data size), so repeated
 #: Simulator constructions over the same compiled program — the grid
 #: runner's common case — reuse the bytecode and only re-``exec`` it
-#: against the new simulator's state (microseconds).
-_CODE_CACHE: dict[str, object] = {}
+#: against the new simulator's state (microseconds).  A profiled build
+#: is compiled fresh and not kept: no other build shares its source.
+_CODE_CACHE: dict[str, list] = {}
 _CODE_CACHE_MAX = 64
 
 #: Engine builds (timing and profile) in this process that reused a
@@ -646,57 +697,86 @@ code_cache_hits = 0
 code_cache_misses = 0
 
 
-def _compile_cached(src, filename):
+def _compile_blocks(gen, bindings, filename, attribution=None):
+    """Exec the generated block functions against *gen*'s simulator;
+    return the ``{leader pc: (function, length)}`` dispatch table.
+
+    Each block function is compiled on its own, in a small factory
+    over *bindings*: compiling one module per program holds the whole
+    program's syntax tree at once, and on the largest programs that
+    peak sets the process's memory high-water mark.  The cache key is
+    still the whole program's source; *attribution* (a profiled build)
+    bypasses the cache but counts its one miss.
+    """
     global code_cache_hits, code_cache_misses
-    code = _CODE_CACHE.get(src)
-    if code is None:
+    params = "S, ctr, A" if attribution is not None else "S, ctr"
+    head = [f"def _factory({params}):"] + [" " + b for b in bindings]
+    funcs = gen.funcs
+    codes = key = None
+    if attribution is None:
+        key = "\n".join(head + gen.out + [" return {%s}" % ", ".join(
+            f"{start}: ({name}, {end - start})"
+            for name, start, end, _ in funcs)]) + "\n"
+        codes = _CODE_CACHE.get(key)
+    if codes is None:
         code_cache_misses += 1
-        code = compile(src, filename, "exec")
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
-        _CODE_CACHE[src] = code
+        lasts = [first for *_, first in funcs[1:]] + [len(gen.out)]
+        codes = [compile("\n".join(head + gen.out[first:last]
+                                   + [f" return {name}"]) + "\n",
+                         filename, "exec")
+                 for (name, _, _, first), last in zip(funcs, lasts)]
+        if key is not None:
+            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+                _CODE_CACHE.clear()
+            _CODE_CACHE[key] = codes
     else:
         code_cache_hits += 1
-    return code
-
-
-def _compile_factory(gen, bindings, table_items, filename):
-    """Exec the generated block functions against *gen*'s simulator;
-    return the ``{leader pc: (function, length)}`` dispatch table."""
-    lines = ["def _factory(S, ctr):"]
-    lines += [" " + b for b in bindings]
-    lines += gen.out
-    lines.append(" return {%s}" % ", ".join(table_items))
-    src = "\n".join(lines) + "\n"
+    args = (gen.sim, gen.ctr)
+    if attribution is not None:
+        args += (attribution,)
     namespace = {"E": SimulationError}
-    exec(_compile_cached(src, filename), namespace)
-    return namespace["_factory"](gen.sim, gen.ctr)
+    table = {}
+    for (_, start, end, _), code in zip(funcs, codes):
+        exec(code, namespace)
+        table[start] = (namespace.pop("_factory")(*args), end - start)
+    return table
 
 
 def build_engine(sim):
-    """Compile *sim*'s program, or None if it needs the interpreter."""
+    """Compile *sim*'s program, or None if it needs the interpreter
+    (multi-issue, several memory ports, or block-frequency profiling).
+
+    With a ``StallProfile`` attached the blocks also attribute every
+    stall cycle to its producer pc; without one the generated source
+    is free of attribution code.
+    """
     cfg = sim.config
-    if cfg.issue_width != 1 or cfg.mem_ports != 1:
+    if cfg.issue_width != 1 or cfg.mem_ports != 1 or sim.profiling:
         return None
-    if sim.stall_profile is not None or sim.profiling:
-        return None
-    gen = _Gen(sim)
-    items = []
+    gen = _Gen(sim, attribute=sim.stall_profile is not None)
     for start, end in _block_spans(sim._decoded):
         gen.emit_full(f"b{start}", start, end)
-        items.append(f"{start}: (b{start}, {end - start})")
-    table = _compile_factory(gen, _TIMING_BINDINGS, items, "<fastsim>")
-    return _FastEngine(sim, table, gen.ctr, gen.blocks)
+    bindings = _TIMING_BINDINGS
+    attribution = None
+    if gen.attribute:
+        bindings = _TIMING_BINDINGS + _ATTRIBUTION_BINDINGS
+        n = len(sim._decoded)
+        attribution = ([-1] * len(sim.regs),
+                       [0] * n, [0] * n, [0] * n, [0] * n)
+    table = _compile_blocks(gen, bindings, "<fastsim>", attribution)
+    return _FastEngine(table, gen, attribution)
 
 
 class _FastEngine:
     """Driver: dispatch one compiled function per basic block."""
 
-    def __init__(self, sim, table, ctr, blocks):
-        self.sim = sim
+    def __init__(self, table, gen, attribution):
+        self.sim = gen.sim
         self.table = table
-        self.ctr = ctr
-        self.blocks = blocks
+        self.ctr = gen.ctr
+        self.blocks = gen.blocks
+        self.funcs = gen.funcs
+        self.attribution = attribution
 
     def run(self, max_instructions):
         get = self.table.get
@@ -740,6 +820,36 @@ class _FastEngine:
                 if ni:
                     sim.l1i.stats.accesses += c * ni
         sim._flush_machine_stats()
+        if self.attribution is not None:
+            self._flush_profile()
+
+    def _flush_profile(self):
+        """Add the run's per-pc counts to the simulator's StallProfile:
+        executions and load hits (executions less misses) from the
+        per-block counters, the rest from the attribution lists."""
+        sp = self.sim.stall_profile
+        decoded = self.sim._decoded
+        _ppc, load, fixed, mshr, misses = self.attribution
+        for (slot, *_), (_, start, end, _) in zip(self.blocks,
+                                                  self.funcs):
+            c = self.ctr[slot]
+            if not c:
+                continue
+            for pc in range(start, end):
+                _bump(sp.exec_counts, pc, c)
+                if decoded[pc][0] <= 1:
+                    _bump(sp.load_hits, pc, c - misses[pc])
+                    _bump(sp.load_misses, pc, misses[pc])
+        for counts, per_pc in ((sp.load_interlock, load),
+                               (sp.fixed_interlock, fixed),
+                               (sp.mshr_stalls, mshr)):
+            for pc, n in enumerate(per_pc):
+                _bump(counts, pc, n)
+
+
+def _bump(counts, pc, n):
+    if n:
+        counts[pc] = counts.get(pc, 0) + n
 
 
 def _apply_block_counts(m, ctr, blocks):
@@ -767,13 +877,10 @@ def run_profile(sim, max_instructions):
     frequencies, which match the reference run bit for bit.
     """
     gen = _Gen(sim)
-    items = []
     for start, end in _block_spans(sim._decoded, sim._block_starts):
         label = sim._block_starts.get(start)
         gen.emit_profile(f"p{start}", start, end, label)
-        items.append(f"{start}: (p{start}, {end - start})")
-    table = _compile_factory(gen, _PROFILE_BINDINGS, items,
-                             "<fastsim-profile>")
+    table = _compile_blocks(gen, _PROFILE_BINDINGS, "<fastsim-profile>")
     get = table.get
     ctr = gen.ctr
     pc = 0

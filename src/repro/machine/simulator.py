@@ -104,8 +104,9 @@ class Simulator:
         #: Engine :meth:`build` chose, which :meth:`run` executes.
         self.mode_used: Optional[str] = None
         #: Optional per-PC stall attribution sink (obs.StallProfile).
-        #: None (the default) keeps the hot loop on the fast path: one
-        #: boolean test per instruction, no counter updates.
+        #: None (the default) keeps attribution out of both engines:
+        #: the interpreter tests one boolean per instruction, and the
+        #: fast engine generates no attribution code.
         self.stall_profile = stall_profile
 
         # Architectural memory: one Python number per 8-byte word.
@@ -268,7 +269,7 @@ class Simulator:
                     raise ValueError(
                         "mode='fast' requested but this configuration "
                         "is not supported by the compiled engine "
-                        "(multi-issue, stall attribution, or "
+                        "(multi-issue, several memory ports, or "
                         "profiling); use mode='auto' or 'reference'")
                 mode = "reference"
         self.mode_used = mode
@@ -289,15 +290,22 @@ class Simulator:
                 "already executed its program; construct a new "
                 "Simulator to run it again")
         self._ran = True
-        self.build()
-        if self.mode_used == "profile":
-            from .fastsim import run_profile
+        try:
+            self.build()
+            if self.mode_used == "profile":
+                from .fastsim import run_profile
 
-            run_profile(self, max_instructions)
-        elif self.mode_used == "fast":
-            self._fast_engine.run(max_instructions)
-        else:
-            self._run_reference(max_instructions)
+                run_profile(self, max_instructions)
+            elif self.mode_used == "fast":
+                self._fast_engine.run(max_instructions)
+            else:
+                self._run_reference(max_instructions)
+        finally:
+            # The engine's block functions hold bound methods of this
+            # simulator: dropping it breaks the cycle, so a finished
+            # simulator (L3's set lists and all) is freed by reference
+            # counting instead of waiting for the cyclic collector.
+            self._fast_engine = None
         if os.environ.get("REPRO_VALIDATE_METRICS") == "1":
             self.metrics.validate(issue_width=self.config.issue_width)
         return self.metrics

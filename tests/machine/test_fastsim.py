@@ -1,14 +1,23 @@
-"""Compiled fast engine: bit-identity vs. the reference interpreter,
-MSHR bookkeeping under the heap, and the engine selection API (mode=,
-REPRO_SIM)."""
+"""Compiled fast engine: bit-identity vs. the reference interpreter
+(stall attribution included), MSHR bookkeeping under the heap, the
+engine selection API (mode=, REPRO_SIM), and the build's structural
+memory properties."""
 
 from __future__ import annotations
+
+import gc
+import re
+import weakref
+from dataclasses import replace
 
 import pytest
 
 from repro.harness.compile import Options, compile_source
 from repro.isa import DataSymbol, Instruction, assemble, freg, ireg, Reg
-from repro.machine import DEFAULT_CONFIG, SimulationError, Simulator
+from repro.machine import (DEFAULT_CONFIG, SimulationError, Simulator,
+                           fastsim)
+from repro.machine.config import simple_stochastic_config
+from repro.obs import StallProfile
 from tests.conftest import SMALL_KERNEL, STENCIL_KERNEL
 
 
@@ -63,6 +72,33 @@ def assert_identical(program, config=DEFAULT_CONFIG, arrays=None):
     return ref, fast
 
 
+def big_symbol():
+    return {"BIG": DataSymbol(name="BIG", address=64,
+                              size_bytes=64 * 1024, is_fp=True,
+                              dims=(8192,))}
+
+
+def mshr_pressure_program():
+    """More independent misses than MSHRs, each on its own page."""
+    instrs = [Instruction("LDI", dest=v(0), imm=64)]
+    for i in range(DEFAULT_CONFIG.mshr_entries + 4):
+        instrs.append(Instruction("FLD", dest=v(1 + i, "f"),
+                                  srcs=(v(0),), offset=i * 4096))
+    return assemble_instrs(instrs, symbols=big_symbol())
+
+
+def mshr_merge_program():
+    """Two loads of one line; their sum waits for both (pc 3)."""
+    return assemble_instrs([
+        Instruction("LDI", dest=v(0), imm=64),
+        Instruction("FLD", dest=v(1, "f"), srcs=(v(0),), offset=0),
+        # Same 32-byte line, still in flight: merges.
+        Instruction("FLD", dest=v(2, "f"), srcs=(v(0),), offset=8),
+        Instruction("FADD", dest=v(3, "f"),
+                    srcs=(v(1, "f"), v(2, "f"))),
+    ], symbols=big_symbol())
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("scheduler", ["balanced", "traditional"])
     @pytest.mark.parametrize("source", [SMALL_KERNEL, STENCIL_KERNEL],
@@ -81,33 +117,13 @@ class TestBitIdentity:
     def test_mshr_pressure(self):
         """More concurrent misses than MSHRs: the heap-based occupancy
         bookkeeping must reproduce the interpreter's stall cycles."""
-        symbols = {"BIG": DataSymbol(name="BIG", address=64,
-                                     size_bytes=64 * 1024, is_fp=True,
-                                     dims=(8192,))}
-        instrs = [Instruction("LDI", dest=v(0), imm=64)]
-        for i in range(DEFAULT_CONFIG.mshr_entries + 4):
-            instrs.append(Instruction("FLD", dest=v(1 + i, "f"),
-                                      srcs=(v(0),), offset=i * 4096))
-        program = assemble_instrs(instrs, symbols=symbols)
-        ref, fast = assert_identical(program)
+        ref, fast = assert_identical(mshr_pressure_program())
         assert fast.metrics.mshr_stall_cycles > 0
 
     def test_mshr_merge_same_line(self):
         """A second miss to an in-flight line merges into the existing
         MSHR (no new entry, no stall) in both engines."""
-        symbols = {"BIG": DataSymbol(name="BIG", address=64,
-                                     size_bytes=64 * 1024, is_fp=True,
-                                     dims=(8192,))}
-        instrs = [
-            Instruction("LDI", dest=v(0), imm=64),
-            Instruction("FLD", dest=v(1, "f"), srcs=(v(0),), offset=0),
-            # Same 32-byte line, still in flight: merges.
-            Instruction("FLD", dest=v(2, "f"), srcs=(v(0),), offset=8),
-            Instruction("FADD", dest=v(3, "f"),
-                        srcs=(v(1, "f"), v(2, "f"))),
-        ]
-        program = assemble_instrs(instrs, symbols=symbols)
-        ref, fast = assert_identical(program)
+        ref, fast = assert_identical(mshr_merge_program())
         assert fast.metrics.l1d.misses == 1
 
     @pytest.mark.parametrize("stride", [0, 64], ids=["converged",
@@ -248,6 +264,15 @@ class TestModeSelection:
         with pytest.raises(ValueError, match="fast"):
             Simulator(program, config=config, mode="fast").run()
 
+    def test_explicit_fast_runs_with_a_stall_profile(self):
+        program = assemble_instrs([Instruction("LDI", dest=v(0),
+                                               imm=1)])
+        profile = StallProfile()
+        sim = Simulator(program, stall_profile=profile, mode="fast")
+        sim.run()
+        assert sim.mode_used == "fast"
+        assert profile.exec_counts == {0: 1, 1: 1}
+
     def test_auto_falls_back_for_unsupported_config(self):
         from dataclasses import replace
 
@@ -275,3 +300,186 @@ class TestModeSelection:
         assert fast.block_counts == ref.block_counts
         assert fast.edge_counts == ref.edge_counts
         assert fast.memory == ref.memory
+
+
+PROFILE_FIELDS = ("exec_counts", "load_interlock", "fixed_interlock",
+                  "load_hits", "load_misses", "mshr_stalls")
+
+
+def assert_profiles_identical(program, config=DEFAULT_CONFIG):
+    """Run both engines with a StallProfile attached; every metrics
+    counter, final state and all six per-pc dicts must agree."""
+    runs = []
+    for mode in ("reference", "fast"):
+        profile = StallProfile()
+        sim = Simulator(program, config=config, stall_profile=profile,
+                        mode=mode)
+        sim.run()
+        assert sim.mode_used == mode
+        runs.append((sim, profile))
+    (ref, ref_profile), (fast, profile) = runs
+    assert state_dict(ref) == state_dict(fast)
+    for field in PROFILE_FIELDS:
+        assert getattr(profile, field) == getattr(ref_profile, field), \
+            field
+    m = fast.metrics
+    assert profile.total_load_interlock == m.load_interlock_cycles
+    assert profile.total_fixed_interlock == m.fixed_interlock_cycles
+    assert sum(profile.mshr_stalls.values()) == m.mshr_stall_cycles
+    assert sum(profile.exec_counts.values()) == m.instructions
+    return fast, profile
+
+
+class TestStallAttribution:
+    """The fast engine's per-pc attribution equals the interpreter's."""
+
+    @pytest.mark.parametrize("scheduler", ["balanced", "traditional"])
+    @pytest.mark.parametrize("source", [SMALL_KERNEL, STENCIL_KERNEL],
+                             ids=["small", "stencil"])
+    def test_compiled_kernels(self, source, scheduler):
+        program = compile_source(
+            source, Options(scheduler=scheduler, unroll=4)).program
+        fast, profile = assert_profiles_identical(program)
+        assert profile.load_interlock and profile.fixed_interlock
+
+    def test_miss_merge_tie_goes_to_the_later_load(self):
+        """Both loads of one line are ready in the same cycle: the
+        later one (pc 2) takes the whole stall of their sum."""
+        fast, profile = assert_profiles_identical(mshr_merge_program())
+        assert list(profile.load_interlock) == [2]
+        assert profile.fixed_interlock == {}
+
+    def test_mshr_full_charges(self):
+        """A load stalled on a full MSHR file charges itself, in both
+        mshr_stalls and load_interlock."""
+        fast, profile = assert_profiles_identical(
+            mshr_pressure_program())
+        assert profile.mshr_stalls
+        for pc, cycles in profile.mshr_stalls.items():
+            assert profile.load_interlock[pc] >= cycles
+
+    def test_producers_in_an_earlier_block(self):
+        """Operands produced before a branch are charged through the
+        per-slot producer list: a load (pc 1) and a fixed-latency
+        multiply (pc 3) stall consumers in the next block."""
+        program = assemble([
+            ("entry", [
+                Instruction("LDI", dest=v(0), imm=64),
+                Instruction("FLD", dest=v(1, "f"), srcs=(v(0),)),
+                Instruction("FLDI", dest=v(5, "f"), imm=2.0),
+                Instruction("FMUL", dest=v(2, "f"),
+                            srcs=(v(5, "f"), v(5, "f"))),
+                Instruction("BR", label="next"),
+            ]),
+            ("next", [
+                Instruction("FADD", dest=v(3, "f"),
+                            srcs=(v(2, "f"), v(2, "f"))),
+                Instruction("FADD", dest=v(4, "f"),
+                            srcs=(v(1, "f"), v(3, "f"))),
+                Instruction("HALT"),
+            ]),
+        ], symbols=sym(), data_size=64 + 16 * 8)
+        fast, profile = assert_profiles_identical(program)
+        assert list(profile.load_interlock) == [1]
+        assert list(profile.fixed_interlock) == [3]
+
+    @pytest.mark.parametrize("config", [
+        replace(DEFAULT_CONFIG, l1d=replace(DEFAULT_CONFIG.l1d, assoc=2)),
+        simple_stochastic_config(0.8),
+        replace(DEFAULT_CONFIG, perfect_icache=True),
+    ], ids=["assoc-l1d", "stochastic", "perfect-icache"])
+    def test_machine_variants(self, config):
+        """Set-associative L1 and the stochastic model take the
+        non-inlined ``_dload`` path for every load."""
+        program = compile_source(
+            STENCIL_KERNEL, Options(scheduler="balanced")).program
+        fast, profile = assert_profiles_identical(program, config)
+        assert profile.load_interlock
+
+
+def _captured_sources(monkeypatch):
+    """Record every source the fast engine compiles from now on."""
+    sources = []
+
+    def recording_compile(src, filename, mode):
+        sources.append(src)
+        return compile(src, filename, mode)
+
+    monkeypatch.setattr(fastsim, "_CODE_CACHE", {})
+    monkeypatch.setattr(fastsim, "compile", recording_compile,
+                        raising=False)
+    return sources
+
+
+_ATTRIBUTION_NAMES = re.compile(r"\b(PPC|LIA|FIA|MSA|MISS|pp)\b")
+
+
+class TestEngineMemory:
+    """Structural properties that keep the fast engine's memory at or
+    below the interpreter's: per-block compiles, no reference cycle
+    through a finished simulator, no cached profiled code."""
+
+    @pytest.fixture
+    def program(self):
+        return compile_source(SMALL_KERNEL,
+                              Options(scheduler="balanced")).program
+
+    @pytest.mark.parametrize("mode,profiled", [
+        ("reference", False), ("fast", False), ("fast", True)])
+    def test_finished_simulator_is_freed_by_refcount(self, program,
+                                                     mode, profiled):
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulator(program, mode=mode, stall_profile=(
+                StallProfile() if profiled else None))
+            sim.run()
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_failed_run_drops_the_engine(self):
+        program = assemble([("loop", [Instruction("BR",
+                                                  label="loop")])])
+        sim = Simulator(program, mode="fast")
+        with pytest.raises(SimulationError):
+            sim.run(max_instructions=100)
+        assert sim._fast_engine is None
+
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_one_compile_per_block_function(self, program, monkeypatch,
+                                            profiled):
+        sources = _captured_sources(monkeypatch)
+        sim = Simulator(program, mode="fast", stall_profile=(
+            StallProfile() if profiled else None))
+        sim.build()
+        table = sim._fast_engine.table
+        assert len(sources) == len(table) > 1
+        for src, pc in zip(sources, table):
+            assert re.findall(r"^ def (\w+)\(", src, re.M) == [f"b{pc}"]
+
+    def test_profiled_build_is_not_cached(self, program):
+        Simulator(program, mode="fast").build()
+        before = dict(fastsim._CODE_CACHE)
+        hits, misses = fastsim.code_cache_hits, fastsim.code_cache_misses
+        Simulator(program, mode="fast",
+                  stall_profile=StallProfile()).build()
+        assert fastsim._CODE_CACHE == before
+        assert (fastsim.code_cache_hits - hits,
+                fastsim.code_cache_misses - misses) == (0, 1)
+        Simulator(program, mode="fast").build()
+        assert (fastsim.code_cache_hits - hits,
+                fastsim.code_cache_misses - misses) == (1, 1)
+
+    def test_unprofiled_source_has_no_attribution_code(self, program,
+                                                       monkeypatch):
+        sources = _captured_sources(monkeypatch)
+        Simulator(program, mode="fast").build()
+        plain = list(sources)
+        Simulator(program, mode="fast",
+                  stall_profile=StallProfile()).build()
+        profiled = sources[len(plain):]
+        assert not any(_ATTRIBUTION_NAMES.search(src) for src in plain)
+        assert any(re.search(r"\b(LIA|FIA)\[", src) for src in profiled)

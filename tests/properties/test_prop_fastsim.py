@@ -5,7 +5,8 @@ The generator builds small array kernels (loads, stores, fp
 arithmetic, conditionals, reductions) whose loops run each compiled
 block many times, from cold caches into steady state; every metrics
 counter, including the interlock split and the cache/TLB stats, plus
-final memory and registers must match the interpreter exactly.
+final memory and registers must match the interpreter exactly, with
+and without a stall profile, and so must the per-pc stall profile.
 """
 
 from hypothesis import given, settings
@@ -13,6 +14,10 @@ from hypothesis import strategies as st
 
 from repro.harness.compile import Options, compile_source
 from repro.machine import Simulator
+from repro.obs import StallProfile
+
+PROFILE_FIELDS = ("exec_counts", "load_interlock", "fixed_interlock",
+                  "load_hits", "load_misses", "mshr_stalls")
 
 
 def _state(sim):
@@ -77,9 +82,15 @@ def test_fast_engine_matches_reference(case):
     source, scheduler = case
     program = compile_source(source,
                              Options(scheduler=scheduler)).program
-    ref = Simulator(program, mode="reference")
+    ref_profile, profile = StallProfile(), StallProfile()
+    ref = Simulator(program, mode="reference", stall_profile=ref_profile)
     ref.run(max_instructions=2_000_000)
     fast = Simulator(program, mode="fast")
     fast.run(max_instructions=2_000_000)
-    assert fast.mode_used == "fast"
-    assert _state(ref) == _state(fast), scheduler
+    profiled = Simulator(program, mode="fast", stall_profile=profile)
+    profiled.run(max_instructions=2_000_000)
+    assert fast.mode_used == profiled.mode_used == "fast"
+    assert _state(ref) == _state(fast) == _state(profiled), scheduler
+    for field in PROFILE_FIELDS:
+        assert getattr(profile, field) == getattr(ref_profile, field), \
+            (scheduler, field)

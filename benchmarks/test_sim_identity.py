@@ -13,15 +13,25 @@ Each workload is one test so failures localize; the grid walk shares
 compiled programs between the engines (compile once, simulate three
 times: profiled reference, unprofiled fast — the default engine — and
 profiled fast).
+
+The trace scheduler's profile pre-run is checked here too, at every
+trace point of the grid: it runs the pre-schedule CFG on virtual
+registers, and must count exactly the blocks and edges of the
+register-allocated deep copy it once ran, leaving the CFG unchanged.
 """
+
+import copy
 
 import pytest
 
+from repro.codegen.regalloc import allocate_registers
 from repro.harness.experiment import options_for
-from repro.harness.compile import compile_source
+from repro.harness.compile import (_collect_profile, compile_source,
+                                   lower_source)
 from repro.harness.tables import TABLE6_CONFIGS
 from repro.machine import Simulator
 from repro.obs import StallProfile
+from repro.sched import ProfileData
 from repro.workloads import WORKLOAD_ORDER, WORKLOADS
 
 GRID_CONFIGS = ("base",) + tuple(TABLE6_CONFIGS)
@@ -72,3 +82,30 @@ def test_fast_matches_reference_on_table6_grid(name):
             for field in PROFILE_FIELDS:
                 assert getattr(profile, field) == \
                     getattr(ref_profile, field), (point, field)
+
+
+def _allocated_profile(cfg, options):
+    """The reference pre-run: profile a register-allocated deep copy."""
+    snapshot = copy.deepcopy(cfg)
+    allocate_registers(snapshot)
+    sim = Simulator(snapshot.linearize(), config=options.config,
+                    profile=True, mode="profile")
+    sim.run()
+    return ProfileData(block_counts=dict(sim.block_counts),
+                       edge_counts=dict(sim.edge_counts))
+
+
+@pytest.mark.parametrize("name", WORKLOAD_ORDER)
+def test_profile_prerun_matches_allocated_copy(name):
+    workload = WORKLOADS[name]
+    for config in GRID_CONFIGS:
+        for scheduler in ("balanced", "traditional"):
+            options = options_for(scheduler, config)
+            if not options.trace:
+                continue
+            cfg, _, _ = lower_source(workload.source, options, name)
+            before = cfg.format()
+            point = f"{name}/{config}/{scheduler}"
+            assert _collect_profile(cfg, options) == \
+                _allocated_profile(cfg, options), point
+            assert cfg.format() == before, point

@@ -16,14 +16,14 @@ Stages 1-4 are :func:`lower_source`, which the scheduling oracle calls
 too, so it grades exactly the CFG the schedulers are handed.  Each
 stage runs in its own observer span; the spans are the only timer.
 
-Trace scheduling needs a profile: the same program is compiled without
-trace scheduling, run once in profiling mode, and the block/edge
-frequencies feed trace formation (the paper's methodology, section 4.2).
+Trace scheduling needs a profile: the pre-schedule program is
+linearized as it is, on virtual registers, run once in profiling mode,
+and the block/edge frequencies feed trace formation (the paper's
+methodology, section 4.2).
 """
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -298,12 +298,13 @@ def compile_source(source: str, options: Options = Options(),
 def _collect_profile(cfg: Cfg, options: Options) -> ProfileData:
     """Profile the pre-trace CFG by running it once (paper section 4.2).
 
-    The profiling copy is compiled with the original (unscheduled)
-    block order on a deep copy so the real CFG is untouched.
+    The CFG is linearized in its original (unscheduled) block order and
+    run on virtual registers, without register allocation: block and
+    edge counts depend only on control flow, which allocation and its
+    spill code do not change.  Linearizing leaves the CFG as it was:
+    lowering already puts the entry block first.
     """
-    snapshot = _copy.deepcopy(cfg)
-    allocate_registers(snapshot)
-    program = snapshot.linearize()
+    program = cfg.linearize()
     sim = Simulator(program, config=options.config, profile=True,
                     mode="profile")
     sim.run()

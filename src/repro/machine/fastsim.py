@@ -110,8 +110,9 @@ class _Gen:
                 nl += 1
         ni = 0
         if not self.cfg.perfect_icache and self.sim.l1i.assoc == 1:
+            lsh = self.sim.l1i.line_shift
             for p in range(start + 1, end):
-                if (p << 2) >> 5 != ((p - 1) << 2) >> 5:
+                if (p << 2) >> lsh != ((p - 1) << 2) >> lsh:
                     ni += 1
         self.blocks.append((slot, counts,
                             nl if self.inline_mem else 0, ni))
@@ -175,8 +176,8 @@ class _Gen:
         """I-cache probe for the fetch line holding byte address *ad*.
 
         Direct-mapped L1I inlines both paths: a tag compare on hit, a
-        manual fill (misses bump + tag replace) on miss — equivalent to
-        ``Cache.lookup`` when the set holds a single way.  Interior
+        manual fill (misses bump + a one-tag set) on miss — equivalent
+        to ``Cache.lookup`` when the set holds a single way.  Interior
         probes run unconditionally every execution, so their access
         counts are statically batched (*count_access* False); the
         entry probe is dynamic and counts inline.  Associative
@@ -191,7 +192,7 @@ class _Gen:
             w(ind, f"wv = L1IW[{cl & l1i.set_mask}]")
             w(ind, f"if not wv or wv[0] != {cl}:")
             w(ind + 1, "L1IST.misses += 1")
-            w(ind + 1, f"wv[:] = ({cl},)")
+            w(ind + 1, f"L1IW[{cl & l1i.set_mask}] = [{cl}]")
             w(ind + 1, f"x = IFILL({ad})")
             w(ind + 1, "ctr[2] += x")
             w(ind + 1, "t += x")
@@ -202,13 +203,15 @@ class _Gen:
             w(ind + 1, "t += x")
 
     def _fetch_full(self, ind, p, start):
-        """I-cache/I-TLB fetch check, line-memoized like the interpreter
-        (32-byte line / 8 KB page granularity is hardcoded there)."""
+        """I-cache/I-TLB fetch check, memoized by L1I line and I-TLB
+        page like the interpreter."""
         if self.cfg.perfect_icache:
             return
         w = self.w
+        lsh = self.sim.l1i.line_shift
+        psh = self.sim.itlb.page_shift
         ad = p << 2
-        ln, pg = ad >> 5, ad >> 13
+        ln, pg = ad >> lsh, ad >> psh
         pen = self.cfg.itlb.miss_penalty
         if p == start:
             w(ind, f"if lastL != {ln}:")
@@ -219,11 +222,11 @@ class _Gen:
             w(ind + 3, f"ctr[2] += {pen}")
             w(ind + 3, f"t += {pen}")
             self._icheck(ind + 1, ad, count_access=True)
-        elif ln != ((p - 1) << 2) >> 5:
+        elif ln != ((p - 1) << 2) >> lsh:
             # Interior line change: the memo test is statically true
             # (after executing p-1, lastL == line(p-1) != line(p)).
             w(ind, f"lastL = {ln}")
-            if pg != ((p - 1) << 2) >> 13:
+            if pg != ((p - 1) << 2) >> psh:
                 w(ind, f"lastP = {pg}")
                 w(ind, f"if not ITLB({ad}):")
                 w(ind + 1, f"ctr[2] += {pen}")

@@ -142,13 +142,12 @@ class Simulator:
         self.dtlb = Tlb(config.dtlb.entries, config.dtlb.page_bytes)
         self.itlb = Tlb(config.itlb.entries, config.itlb.page_bytes)
         self.bpred = BranchPredictor()
-        self._mshr: dict[int, int] = {}       # line -> completion time
-        #: Min-heap of in-flight completion times, drained lazily.  The
-        #: occupancy question "are all MSHRs busy at cycle *now*?" is
-        #: answered by popping expired heads — O(log n) per miss
-        #: instead of rebuilding a list over every dict value.
-        self._mshr_heap: list[int] = []
-        self._rng_state = 0x1234ABCD          # stochastic-model LCG
+        self._mshr: dict[int, int] = {}   # L1D line -> completion time
+        # The memory path both engines call: closures over the probes,
+        # the MSHRs and the latencies, none holding the simulator.
+        (self._dload, self._dstore, self._ifill_latency,
+         self._stochastic_latency) = _memory_path(
+            config, self.l1d, self.l2, self.l3, self.dtlb, self._mshr)
 
         # Profiling.
         self.block_counts: dict[str, int] = {}
@@ -301,9 +300,8 @@ class Simulator:
             else:
                 self._run_reference(max_instructions)
         finally:
-            # The engine's block functions hold bound methods of this
-            # simulator: dropping it breaks the cycle, so a finished
-            # simulator (L3's set lists and all) is freed by reference
+            # The engine holds this simulator: dropping it breaks the
+            # cycle, so a finished simulator is freed by reference
             # counting instead of waiting for the cyclic collector.
             self._fast_engine = None
         if os.environ.get("REPRO_VALIDATE_METRICS") == "1":
@@ -317,8 +315,8 @@ class Simulator:
         m.l1i = self.l1i.stats
         m.l2 = self.l2.stats
         m.l3 = self.l3.stats
-        m.dtlb_misses = self.dtlb.misses
-        m.itlb_misses = self.itlb.misses
+        m.dtlb_misses = self.dtlb.stats.misses
+        m.itlb_misses = self.itlb.stats.misses
         m.branch_mispredicts = self.bpred.mispredicts
 
     def _run_reference(self, max_instructions: int) -> Metrics:
@@ -342,6 +340,8 @@ class Simulator:
         last_fetch_page = -1
         l1i = self.l1i
         itlb = self.itlb
+        line_shift = l1i.line_shift
+        page_shift = itlb.page_shift
         itlb_penalty = config.itlb.miss_penalty
         # In-order multi-issue accounting: `slots_left` instructions may
         # still issue in cycle `t`, of which `mem_left` memory ops.
@@ -387,12 +387,12 @@ class Simulator:
 
             # ----- instruction fetch (icache + itlb, line-memoized)
             fetch_addr = pc << 2
-            line = fetch_addr >> 5
+            line = fetch_addr >> line_shift
             if perfect_icache:
                 pass
             elif line != last_fetch_line:
                 last_fetch_line = line
-                page = fetch_addr >> 13
+                page = fetch_addr >> page_shift
                 if page != last_fetch_page:
                     last_fetch_page = page
                     if not itlb.lookup(fetch_addr):
@@ -647,100 +647,129 @@ class Simulator:
         self._flush_machine_stats()
         return m
 
-    # ------------------------------------------------------ memory timing
-    def _stochastic_latency(self) -> int:
+
+def _memory_path(config: MachineConfig, l1d: Cache, l2: Cache, l3: Cache,
+                 dtlb: Tlb, mshr: dict[int, int]) -> tuple:
+    """Bind the memory timing paths: ``(dload, dstore, ifill_latency,
+    stochastic_latency)``.
+
+    Each is a closure over the level probes, *mshr* (L1D line ->
+    completion time), a completion-time heap and the configured
+    latencies, so a call looks nothing up on the simulator or the
+    config.  None holds the simulator, so reference counting alone
+    frees it.
+    """
+    l1d_lookup, l2_lookup, l3_lookup = l1d.lookup, l2.lookup, l3.lookup
+    l1d_contains, dtlb_lookup = l1d.contains, dtlb.lookup
+    l1d_stats = l1d.stats
+    line_shift = l1d.line_shift
+    l1_latency = config.l1d.latency
+    l2_latency, l3_latency = config.l2.latency, config.l3.latency
+    memory_latency = config.memory_latency
+    dtlb_penalty = config.dtlb.miss_penalty
+    mshr_entries = config.mshr_entries
+    l1i_latency = config.l1i.latency
+    hit_rate = config.stochastic_hit_rate
+    miss_mean = config.stochastic_miss_mean
+    miss_std = config.stochastic_miss_std
+    # Min-heap of in-flight completion times, drained lazily.  The
+    # occupancy question "are all MSHRs busy at cycle *now*?" is
+    # answered by popping expired heads — O(log n) per miss instead of
+    # rebuilding a list over every dict value.
+    heap: list[int] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    rng_state = 0x1234ABCD                  # stochastic-model LCG
+
+    def stochastic_latency() -> int:
         """Load latency under the Kerns-Eggers stochastic model."""
-        config = self.config
-        state = self._rng_state
-        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        nonlocal rng_state
+        state = (rng_state * 1103515245 + 12345) & 0x7FFFFFFF
         unit = state / 0x80000000
-        if unit < config.stochastic_hit_rate:
-            self._rng_state = state
-            self.l1d.stats.accesses += 1
-            return config.l1d.latency
+        if unit < hit_rate:
+            rng_state = state
+            l1d_stats.accesses += 1
+            return l1_latency
         # Miss latency: normal approximation from four uniforms.
         total = 0.0
         for _ in range(4):
             state = (state * 1103515245 + 12345) & 0x7FFFFFFF
             total += state / 0x80000000
-        self._rng_state = state
+        rng_state = state
         gauss = (total - 2.0) * 1.7320508
-        latency = config.stochastic_miss_mean +             config.stochastic_miss_std * gauss
-        self.l1d.stats.accesses += 1
-        self.l1d.stats.misses += 1
-        return max(int(round(latency)), config.l1d.latency + 1)
+        latency = miss_mean + miss_std * gauss
+        l1d_stats.accesses += 1
+        l1d_stats.misses += 1
+        return max(int(round(latency)), l1_latency + 1)
 
-    def _dload(self, addr: int, now: int) -> tuple[int, int]:
+    def ifill_latency(addr: int) -> int:
+        """Extra fetch cycles beyond the L1I pipeline on an I-miss."""
+        if l2_lookup(addr):
+            return l2_latency - l1i_latency
+        if l3_lookup(addr):
+            return l3_latency - l1i_latency
+        return memory_latency - l1i_latency
+
+    if config.memory_model == "stochastic":
+        def dload(addr: int, now: int) -> tuple[int, int]:
+            return stochastic_latency(), 0
+
+        def dstore(addr: int) -> None:
+            """Stores have no cache side effects in this model."""
+
+        return dload, dstore, ifill_latency, stochastic_latency
+
+    def dload(addr: int, now: int) -> tuple[int, int]:
         """(latency, issue-stall) for a data load at cycle *now*."""
-        config = self.config
-        if config.memory_model == "stochastic":
-            return self._stochastic_latency(), 0
-        latency_extra = 0
-        if not self.dtlb.lookup(addr):
-            latency_extra += config.dtlb.miss_penalty
-
-        line = addr >> 5
-        mshr = self._mshr
+        extra = 0 if dtlb_lookup(addr) else dtlb_penalty
+        # MSHRs are keyed by the L1D line, as the fast engine's inlined
+        # hit test keys them.
+        line = addr >> line_shift
         inflight = mshr.get(line)
         if inflight is not None and inflight > now:
             # Merge with the outstanding miss: data forwarded on fill.
-            self.l1d.lookup(addr)   # counts the access (tag already filled)
-            return max(inflight - now, config.l1d.latency) + latency_extra, 0
+            l1d_lookup(addr)    # counts the access (tag already filled)
+            return max(inflight - now, l1_latency) + extra, 0
 
-        if self.l1d.lookup(addr):
-            return config.l1d.latency + latency_extra, 0
+        if l1d_lookup(addr):
+            return l1_latency + extra, 0
 
         # L1 miss: need an MSHR.  The heap holds completion times of
         # all outstanding misses; entries whose fill already happened
         # are popped lazily, so occupancy is just the heap length and
-        # the all-busy case reads the earliest completion from the top
-        # (the old code rebuilt a filtered list over the dict values on
-        # every miss).
+        # the all-busy case reads the earliest completion from the top.
         stall = 0
-        heap = self._mshr_heap
         while heap and heap[0] <= now:
-            heapq.heappop(heap)
-        if len(heap) >= config.mshr_entries:
+            heappop(heap)
+        if len(heap) >= mshr_entries:
             earliest = heap[0]
             stall = earliest - now
             now = earliest
             while heap and heap[0] <= now:
-                heapq.heappop(heap)
+                heappop(heap)
         if len(mshr) > 64:
             for stale in [ln for ln, c in mshr.items() if c <= now]:
                 del mshr[stale]
 
-        if self.l2.lookup(addr):
-            latency = config.l2.latency
-        elif self.l3.lookup(addr):
-            latency = config.l3.latency
+        if l2_lookup(addr):
+            latency = l2_latency + extra
+        elif l3_lookup(addr):
+            latency = l3_latency + extra
         else:
-            latency = config.memory_latency
-        latency += latency_extra
+            latency = memory_latency + extra
         completion = now + latency
         mshr[line] = completion
-        heapq.heappush(heap, completion)
+        heappush(heap, completion)
         return latency, stall
 
-    def _dstore(self, addr: int) -> None:
+    def dstore(addr: int) -> None:
         """Write-through store: update lower-level tags, no-allocate L1."""
-        if self.config.memory_model == "stochastic":
-            return
-        if not self.dtlb.lookup(addr):
-            pass  # store TLB misses absorbed by the write buffer
-        if not self.l1d.contains(addr):
+        dtlb_lookup(addr)   # store TLB misses absorbed by the write buffer
+        if not l1d_contains(addr):
             # No-write-allocate L1; allocate in L2 (write-back there).
-            self.l2.lookup(addr)
+            l2_lookup(addr)
         # If the line is present in L1 the write updates it in place.
 
-    def _ifill_latency(self, addr: int) -> int:
-        """Extra fetch cycles beyond the L1I pipeline on an I-miss."""
-        config = self.config
-        if self.l2.lookup(addr):
-            return config.l2.latency - config.l1i.latency
-        if self.l3.lookup(addr):
-            return config.l3.latency - config.l1i.latency
-        return config.memory_latency - config.l1i.latency
+    return dload, dstore, ifill_latency, stochastic_latency
 
 
 def _flatten(values) -> list:

@@ -1,15 +1,22 @@
 """Compilation driver: options, pipeline composition, profiles."""
 
+import copy
+
 import pytest
 
+from repro.codegen.regalloc import allocate_registers
 from repro.harness.compile import (
     Options,
+    _collect_profile,
     compile_and_run,
     compile_source,
+    lower_source,
     make_weight_model,
     run_compiled,
 )
+from repro.machine import Simulator
 from repro.sched import BalancedWeights, TraditionalWeights
+from tests.codegen.test_regalloc import _pressure_source
 
 
 def test_options_labels():
@@ -72,6 +79,27 @@ def test_trace_compilation_collects_profile(stencil_source):
     assert result.profile is not None
     assert result.profile.block_counts
     assert result.trace_stats is not None
+
+
+def test_profile_prerun_needs_no_register_allocation():
+    """The trace pre-run profiles the pre-schedule CFG on virtual
+    registers.  On a kernel whose register-allocated copy spills, so
+    the two programs differ, it counts the same blocks and edges as
+    that copy, and it leaves the CFG as it was."""
+    options = Options(scheduler="balanced", trace=True)
+    cfg, _, _ = lower_source(_pressure_source(40), options)
+    allocated = copy.deepcopy(cfg)
+    assert allocate_registers(allocated).n_slots > 0
+    allocated_program = allocated.linearize()
+    before = cfg.format()
+    profile = _collect_profile(cfg, options)
+    assert cfg.format() == before
+    assert len(cfg.linearize()) < len(allocated_program)
+    sim = Simulator(allocated_program, profile=True, mode="profile")
+    sim.run()
+    assert profile.block_counts and profile.edge_counts
+    assert profile.block_counts == sim.block_counts
+    assert profile.edge_counts == sim.edge_counts
 
 
 def test_profile_not_collected_without_trace(stencil_source):

@@ -44,12 +44,6 @@ class TestCache:
         cache.lookup(0, allocate=False)
         assert not cache.contains(0)
 
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.lookup(0)
-        cache.invalidate(0)
-        assert not cache.contains(0)
-
     def test_stats(self):
         cache = small_cache()
         cache.lookup(0)
@@ -65,16 +59,16 @@ class TestCache:
             cache.lookup(addr)
         assert all(cache.contains(a) for a in (0, 64, 128, 192))
 
+    def test_sets_allocated_on_first_fill(self):
+        cache = small_cache(size=256, assoc=2)   # 4 sets of 2 ways
+        cache.lookup(0, allocate=False)
+        assert cache.sets == [None] * 4
+        cache.lookup(0)
+        assert cache.sets == [[0], None, None, None]
+
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             Cache(CacheLevelConfig("X", 96, 1, 33, 2))
-
-    def test_reset(self):
-        cache = small_cache()
-        cache.lookup(0)
-        cache.reset()
-        assert not cache.contains(0)
-        assert cache.stats.accesses == 0
 
 
 class TestTlb:
@@ -98,7 +92,7 @@ class TestTlb:
         tlb.lookup(0)
         tlb.lookup(0)
         tlb.lookup(8192)
-        assert tlb.misses == 2
+        assert tlb.stats.misses == 2
 
 
 class TestBranchPredictor:

@@ -99,6 +99,23 @@ def mshr_merge_program():
     ], symbols=big_symbol())
 
 
+def mshr_line_program():
+    """A miss at byte 64, a load at byte 72 (the same L1D line at 16,
+    32 and 64 bytes), and a use of the second load only."""
+    return assemble_instrs([
+        Instruction("LDI", dest=v(0), imm=64),
+        Instruction("FLD", dest=v(1, "f"), srcs=(v(0),), offset=0),
+        Instruction("FLD", dest=v(2, "f"), srcs=(v(0),), offset=8),
+        Instruction("FMOV", dest=v(3, "f"), srcs=(v(2, "f"),)),
+    ], symbols=big_symbol())
+
+
+def line_config(level, line_bytes, **changes):
+    """DEFAULT_CONFIG with *level*'s line size (and other fields) changed."""
+    return replace(DEFAULT_CONFIG, **{level: replace(
+        getattr(DEFAULT_CONFIG, level), line_bytes=line_bytes)}, **changes)
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("scheduler", ["balanced", "traditional"])
     @pytest.mark.parametrize("source", [SMALL_KERNEL, STENCIL_KERNEL],
@@ -125,6 +142,30 @@ class TestBitIdentity:
         MSHR (no new entry, no stall) in both engines."""
         ref, fast = assert_identical(mshr_merge_program())
         assert fast.metrics.l1d.misses == 1
+
+    @pytest.mark.parametrize("line", [16, 64])
+    def test_mshr_merge_at_other_l1d_line_sizes(self, line):
+        """Both engines key MSHRs by the L1D line: the second load merges
+        into the in-flight miss, and its use waits exactly as long as at
+        the default 32-byte line."""
+        ref, fast = assert_identical(mshr_line_program(),
+                                     line_config("l1d", line))
+        default = Simulator(mshr_line_program(), mode="reference")
+        assert fast.metrics.total_cycles == default.run().total_cycles
+
+    @pytest.mark.parametrize("line", [16, 32, 64])
+    def test_fetch_probes_every_icache_line(self, line):
+        """64 NOPs and a HALT: one L1I probe per I-line and one I-TLB
+        miss per 128-byte I-page, whatever the L1I line size."""
+        itlb = replace(DEFAULT_CONFIG.itlb, page_bytes=128)
+        program = assemble_instrs([Instruction("NOP")] * 64)
+        ref, fast = assert_identical(program,
+                                     line_config("l1i", line, itlb=itlb))
+        size = len(program) * 4
+        for sim in (ref, fast):
+            assert sim.metrics.l1i.accesses == (size - 1) // line + 1
+            assert sim.metrics.l1i.misses == sim.metrics.l1i.accesses
+            assert sim.metrics.itlb_misses == (size - 1) // 128 + 1
 
     @pytest.mark.parametrize("stride", [0, 64], ids=["converged",
                                                      "streaming"])
@@ -424,16 +465,29 @@ class TestEngineMemory:
         return compile_source(SMALL_KERNEL,
                               Options(scheduler="balanced")).program
 
-    @pytest.mark.parametrize("mode,profiled", [
-        ("reference", False), ("fast", False), ("fast", True)])
-    def test_finished_simulator_is_freed_by_refcount(self, program,
-                                                     mode, profiled):
+    @pytest.mark.parametrize("mode,profiled,config,run", [
+        pytest.param("reference", False, DEFAULT_CONFIG, True,
+                     id="reference-False"),
+        pytest.param("fast", False, DEFAULT_CONFIG, True, id="fast-False"),
+        pytest.param("fast", True, DEFAULT_CONFIG, True, id="fast-True"),
+        pytest.param("auto", False, DEFAULT_CONFIG, False, id="never-run"),
+        pytest.param("fast", False, simple_stochastic_config(), True,
+                     id="stochastic"),
+        pytest.param("auto", False, simple_stochastic_config(), False,
+                     id="stochastic-never-run")])
+    def test_finished_simulator_is_freed_by_refcount(self, program, mode,
+                                                     profiled, config,
+                                                     run):
+        """No closure of the memory path or the engine holds the
+        simulator, so reference counting frees it, run or not."""
         gc.collect()
         gc.disable()
         try:
-            sim = Simulator(program, mode=mode, stall_profile=(
-                StallProfile() if profiled else None))
-            sim.run()
+            sim = Simulator(program, config=config, mode=mode,
+                            stall_profile=(StallProfile() if profiled
+                                           else None))
+            if run:
+                sim.run()
             alive = weakref.ref(sim)
             del sim
             assert alive() is None

@@ -12,13 +12,7 @@ from .deps import (
     classify_source_pair,
 )
 from .locality import LocalityAnalyzer, LocalityStats, analyze_locality
-from .pressure import (
-    block_pressure,
-    cfg_pressure,
-    kernel_pressure,
-    max_pressure,
-    over_budget,
-)
+from .pressure import block_pressure, cfg_pressure, over_budget
 from .report import (
     ANALYSIS_SCHEMA_VERSION,
     analysis_summary,
@@ -33,8 +27,7 @@ __all__ = [
     "LocalityAnalyzer", "LocalityStats", "analyze_locality",
     "ACCESS_BYTES", "ConflictEquation", "DepVerdict", "LoopBodyDeps",
     "analyze_loop_body", "classify", "classify_source_pair",
-    "block_pressure", "cfg_pressure", "kernel_pressure", "max_pressure",
-    "over_budget",
+    "block_pressure", "cfg_pressure", "over_budget",
     "ANALYSIS_SCHEMA_VERSION", "analysis_summary", "analyze_cfg",
     "analyze_program", "attach_analysis", "format_report",
 ]

@@ -3,20 +3,18 @@
 Balanced scheduling hides load latency by stretching live ranges, and
 the modulo scheduler's expanded kernel multiplies that by the unroll
 factor — both can push more values live than the register files hold,
-turning hidden stalls into spill traffic.  This module computes the
-scheduler-facing pressure numbers from first principles:
+turning hidden stalls into spill traffic.  A pressure number is worth
+only what it predicts about the allocator, so :func:`block_pressure`
+counts exactly what linear scan (:mod:`repro.codegen.regalloc`) needs:
+at each instruction, the registers live *into* it plus the one it
+writes.  The allocator frees an interval only once it ends before the
+next one starts, so a source that dies at an instruction never lends
+its register to that instruction's destination.
 
-* :func:`block_pressure` — exact per-bank MAXLIVE of one instruction
-  sequence given the registers live out of it: walk backward from the
-  live-out set, counting a def live *at* its defining instruction
-  (a def with no use still occupies a register at that point);
-* :func:`max_pressure` — MAXLIVE over every block of a CFG, using the
-  :mod:`repro.check` live-variables engine for the block boundaries;
-* :func:`kernel_pressure` — MAXLIVE of a modulo-scheduled kernel body:
-  block pressure of the emitted kernel instructions with the loop's
-  live-through values (needed after the loop but untouched by it)
-  added to the live-out set, since they occupy registers for the whole
-  kernel even though no kernel instruction mentions them.
+:func:`block_pressure` is the only MAXLIVE in the compiler.
+:func:`cfg_pressure` applies it to every block of a CFG (``repro
+analyze``), the ``kernel-pressure`` lint to each loop header, and the
+balanced weights' ``--pressure`` feedback to each trial block order.
 
 All results are ``{"i": n, "f": m}`` dictionaries (integer and
 floating-point banks), comparable directly against the allocatable
@@ -46,23 +44,19 @@ def block_pressure(instrs: Sequence[Instruction],
                    live_out: Iterable[Reg]) -> dict[str, int]:
     """Per-bank MAXLIVE of one straight-line instruction sequence.
 
-    Backward walk: before an instruction, its defs are dead (they are
-    born here) and its uses are live; the pressure *at* the instruction
-    counts both — the destination register must coexist with everything
-    live across it.
+    Backward walk from *live_out*: the pressure at an instruction is
+    the set live into it (its uses plus everything live across it)
+    together with its defs.  An empty sequence holds its live-out set.
     """
     live: set[Reg] = set(live_out)
     peak = _bank_count(live)
     for instr in reversed(instrs):
         defs = instr.defs()
-        at_instr = _bank_count(live | set(defs))
-        for bank in BANKS:
-            peak[bank] = max(peak[bank], at_instr[bank])
         live.difference_update(defs)
         live.update(instr.uses())
-    entry = _bank_count(live)
-    for bank in BANKS:
-        peak[bank] = max(peak[bank], entry[bank])
+        at_instr = _bank_count(live.union(defs))
+        for bank in BANKS:
+            peak[bank] = max(peak[bank], at_instr[bank])
     return peak
 
 
@@ -75,27 +69,6 @@ def cfg_pressure(cfg: Cfg) -> dict[str, dict[str, int]]:
         for label in cfg.order
         if label in live_out or label in live_in
     }
-
-
-def max_pressure(cfg: Cfg) -> dict[str, int]:
-    """Whole-CFG per-bank MAXLIVE (max over all reachable blocks)."""
-    peak = {"i": 0, "f": 0}
-    for counts in cfg_pressure(cfg).values():
-        for bank in BANKS:
-            peak[bank] = max(peak[bank], counts[bank])
-    return peak
-
-
-def kernel_pressure(instrs: Sequence[Instruction],
-                    live_out: Iterable[Reg],
-                    live_through: Iterable[Reg] = ()) -> dict[str, int]:
-    """MAXLIVE of a modulo-scheduled kernel body.
-
-    *live_through* values are live into the loop's exit but never
-    referenced by the kernel itself; they pin registers for the whole
-    kernel, so they join the live-out set before the backward walk.
-    """
-    return block_pressure(instrs, set(live_out) | set(live_through))
 
 
 def over_budget(pressure: Mapping[str, int],

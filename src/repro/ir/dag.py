@@ -18,7 +18,9 @@ Only ``true`` and ``mem`` store->load edges carry the producer's
 latency; the others only constrain issue order.  The DAG also exposes
 the reachability relation (as bitmasks) needed by the balanced-weight
 computation: two instructions are *independent* exactly when neither
-reaches the other.
+reaches the other.  A DAG may also carry the registers live out of its
+instruction list, which the balanced weights' pressure feedback needs
+to measure MAXLIVE (:func:`repro.analysis.pressure.block_pressure`).
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ TRUE, ANTI, OUT, MEM, ORDER = "true", "anti", "out", "mem", "order"
 class Dag:
     """Dependence DAG over ``instrs`` (original order is significant)."""
 
-    def __init__(self, instrs: list[Instruction]) -> None:
+    def __init__(self, instrs: list[Instruction],
+                 live_out: Optional[Iterable[Reg]] = None) -> None:
         self.instrs = instrs
+        #: Registers live after the list; None when the builder did not
+        #: say (only pressure feedback needs it, and refuses None).
+        self.live_out = None if live_out is None else frozenset(live_out)
         n = len(instrs)
         self.preds: list[dict[int, str]] = [dict() for _ in range(n)]
         self.succs: list[dict[int, str]] = [dict() for _ in range(n)]
@@ -119,15 +125,17 @@ class Dag:
 
 def build_dag(instrs: list[Instruction],
               may_alias: Optional[Callable[[Instruction, Instruction], bool]]
-              = None) -> Dag:
+              = None,
+              live_out: Optional[Iterable[Reg]] = None) -> Dag:
     """Build the dependence DAG for a straight-line instruction list.
 
     ``may_alias`` overrides the default memory-disambiguation rule
     (used by tests and ablations); the default consults the symbolic
     :class:`~repro.isa.instruction.MemRef` on each memory operation and
-    is conservative when one is missing.
+    is conservative when one is missing.  ``live_out`` is carried on
+    the DAG as :attr:`Dag.live_out`.
     """
-    dag = Dag(instrs)
+    dag = Dag(instrs, live_out)
     last_def: dict[Reg, int] = {}
     uses_since_def: dict[Reg, list[int]] = {}
     mem_ops: list[int] = []

@@ -129,10 +129,9 @@ class MachineConfig:
     stochastic_hit_rate: float = 0.95
     stochastic_miss_mean: float = 16.0
     stochastic_miss_std: float = 4.0
-    #: Idealizations used by the simple model: an instruction cache
-    #: that always hits and a TLB that never misses.
+    #: Idealization used by the simple model: an instruction cache
+    #: that always hits.
     perfect_icache: bool = False
-    perfect_dtlb: bool = False
     op_latency: dict[str, int] = field(
         default_factory=lambda: dict(OP_LATENCY))
 
@@ -330,9 +329,10 @@ def simple_stochastic_config(hit_rate: float = 0.95,
     """The Kerns & Eggers 1993 'simple model' (paper section 5.5).
 
     Single-cycle execution for everything except loads, a perfect
-    instruction cache and TLB, and stochastic load latencies: a
-    2-cycle hit with probability *hit_rate*, otherwise a normally
-    distributed miss (the original study's workstation-like memory).
+    instruction cache, and stochastic load latencies: a 2-cycle hit
+    with probability *hit_rate*, otherwise a normally distributed miss
+    (the original study's workstation-like memory).  The stochastic
+    load path keeps no cache state and never probes the D-TLB.
     """
     flat_latency = {name: 1 for name in OP_LATENCY}
     flat_latency["LD"] = flat_latency["FLD"] = 2
@@ -343,7 +343,6 @@ def simple_stochastic_config(hit_rate: float = 0.95,
         stochastic_miss_mean=miss_mean,
         stochastic_miss_std=miss_std,
         perfect_icache=True,
-        perfect_dtlb=True,
         op_latency=flat_latency,
     )
 

@@ -201,7 +201,8 @@ def _analyze_loops(source: str, options: Options, name: str,
             continue
         if not MIN_BODY_OPS <= len(shape.ops) <= MAX_LOOP_OPS:
             continue
-        deps = analyze_deps(shape.ops, options.config, model)
+        deps = analyze_deps(shape.ops, options.config, model,
+                            live_out=live_in[header] | live_into_exit)
         results.append(oracle_loop(deps, options.config,
                                    budget=budget.fresh(),
                                    label=header))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..ir import Cfg, build_dag
+from ..ir import Cfg, build_dag, liveness
 from ..obs import NULL_OBSERVER, Observer
 from ..obs.provenance import LoadScheduleRecord
 from .list_scheduler import list_schedule, list_schedule_with_weights
@@ -11,17 +11,20 @@ from .weights import WeightModel
 
 def schedule_block(instrs, model: WeightModel,
                    observer: Observer = NULL_OBSERVER,
-                   block_label: str = ""):
+                   block_label: str = "", live_out=None):
     """Return *instrs* reordered by the list scheduler.
 
-    With an enabled *observer*, the block's DAG size is annotated onto
-    the open trace span and one schedule-provenance record is emitted
-    per load (weight, independent-contributor count, before/after
-    slot) so balanced-vs-traditional decisions are diffable.
+    *live_out* (the registers live out of the block) rides on the DAG
+    for a model with pressure feedback, which refuses to run without
+    it.  With an enabled *observer*, the block's DAG size is annotated
+    onto the open trace span and one schedule-provenance record is
+    emitted per load (weight, independent-contributor count,
+    before/after slot) so balanced-vs-traditional decisions are
+    diffable.
     """
     if len(instrs) <= 1:
         return list(instrs)
-    dag = build_dag(instrs)
+    dag = build_dag(instrs, live_out=live_out)
     prov = observer.provenance if observer.enabled else None
     if prov is None:
         order = list_schedule(dag, model)
@@ -55,10 +58,16 @@ def schedule_cfg(cfg: Cfg, model: WeightModel,
 
     The terminator (branch/HALT) is pinned to the end by the ORDER arcs
     :func:`repro.ir.dag.build_dag` adds, so control flow is preserved.
+    Reordering inside a block leaves every block's live-out set as it
+    was, so liveness is computed once, and only for a model with
+    pressure feedback.
     """
+    live_out = (liveness(cfg)[1] if getattr(model, "pressure", False)
+                else {})
     for block in cfg:
         block.instrs = schedule_block(block.instrs, model,
                                       observer=observer,
-                                      block_label=block.label)
+                                      block_label=block.label,
+                                      live_out=live_out.get(block.label))
     cfg.verify()
     return cfg

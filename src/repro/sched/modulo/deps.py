@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from ...analysis.deps import LoopBodyDeps, analyze_loop_body
 from ...ir.cfg import BasicBlock, Cfg
@@ -236,9 +236,15 @@ class LoopDeps:
 
 
 def analyze_deps(ops: list[Instruction], config: MachineConfig,
-                 model: Optional[WeightModel]) -> LoopDeps:
-    """Build the cyclic dependence graph for one loop body."""
-    dag = build_dag(ops)
+                 model: Optional[WeightModel],
+                 live_out: Optional[Iterable[Reg]] = None) -> LoopDeps:
+    """Build the cyclic dependence graph for one loop body.
+
+    *live_out* is what the body leaves live: the header's live-in (the
+    next iteration) plus the exit's.  A model with pressure feedback
+    needs it.
+    """
+    dag = build_dag(ops, live_out=live_out)
     if model is not None:
         weights = model.weights(dag)
     else:

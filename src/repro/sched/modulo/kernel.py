@@ -114,7 +114,14 @@ def plan_mve(deps: LoopDeps, sched: ModuloSchedule, max_unroll: int,
 
     # Register-pressure estimate for the kernel: distinct registers
     # after renaming, plus the kernel counter, plus every live-through
-    # value the kernel must carry untouched.
+    # value the kernel must carry untouched.  This is deliberately not
+    # the kernel's MAXLIVE (analysis.pressure.block_pressure): linear
+    # scan gives each expanded version one interval from the prologue
+    # through the kernel to the epilogue, so the versions compete for
+    # registers across the whole pipelined region.  Its two bails in
+    # the grid (alvinn balanced la+swp .loop35 at f 29, dnasa7
+    # balanced swp .loop11 at i 28) emit kernels of MAXLIVE f 13 and
+    # i 16, yet pipelined anyway they spill (1 and 2 slots).
     counts = {"i": 1, "f": 0}
     seen: set[Reg] = set()
     for ins in deps.ops:

@@ -125,7 +125,8 @@ def _pipeline_one(cfg: Cfg, header: str, config: MachineConfig,
         bail.reason = REASON_TOO_BIG
         return bail
 
-    deps = analyze_deps(shape.ops, config, model)
+    deps = analyze_deps(shape.ops, config, model,
+                        live_out=live_in[header] | live_into_exit)
     res, rec, mii, witness = compute_mii_detailed(deps, config)
     bail.res_mii, bail.rec_mii, bail.mii = res, rec, mii
     recurrence = witness.to_json() if witness is not None else None

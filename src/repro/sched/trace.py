@@ -172,24 +172,26 @@ class TraceScheduler:
         self.stats = TraceStats()
 
     def run(self) -> TraceStats:
-        live_in, _ = liveness(self.cfg)
+        live_in, live_out = liveness(self.cfg)
         traces = form_traces(self.cfg, self.profile)
         for trace in traces:
             self.stats.traces += 1
             if len(trace) >= 2:
                 self.stats.multi_block_traces += 1
                 self.stats.blocks_merged += len(trace)
-                self._schedule_trace(trace, live_in)
+                self._schedule_trace(trace, live_in, live_out[trace[-1]])
             else:
                 block = self.cfg.blocks[trace[0]]
-                block.instrs = schedule_block(block.instrs, self.model)
+                block.instrs = schedule_block(block.instrs, self.model,
+                                              live_out=live_out[trace[0]])
         self.cfg.prune_unreachable()
         self.cfg.verify()
         return self.stats
 
     # ------------------------------------------------------------- merging
     def _schedule_trace(self, trace: list[str],
-                        live_in: dict[str, set[Reg]]) -> None:
+                        live_in: dict[str, set[Reg]],
+                        final_live_out: set[Reg]) -> None:
         cfg = self.cfg
         preds_map = cfg.predecessors()
         merged: list[Instruction] = []
@@ -253,7 +255,12 @@ class TraceScheduler:
                     final_fallthrough = block.fallthrough
                 merged.append(term)
 
-        dag = build_dag(merged)
+        # Live out of the merged list, for pressure feedback: what the
+        # final block leaves live, plus what every side exit needs.
+        trace_live_out = set(final_live_out)
+        for off_live, _ in branch_offlive.values():
+            trace_live_out |= off_live
+        dag = build_dag(merged, live_out=trace_live_out)
         self._add_trace_arcs(dag, merged, markers, branch_offlive,
                              gated_markers)
         order = list_schedule(dag, self.model)

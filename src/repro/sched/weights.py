@@ -38,6 +38,7 @@ loads ``L0, L1`` and 2 for the serial chain ``L2 -> L3``.
 
 from __future__ import annotations
 
+from ..analysis.pressure import block_pressure
 from ..ir.dag import Dag
 from ..isa import Instruction, Locality
 from ..machine.config import DEFAULT_CONFIG, MachineConfig
@@ -206,21 +207,25 @@ class BalancedWeights(WeightModel):
 
         Feedback loop: schedule the block with the boosted weights,
         measure the per-bank MAXLIVE of the order the scheduler
-        actually produced, and — only when a bank overflows its
-        allocatable size (i.e. the allocator *would* spill) — strip
-        the boost from the lowest-weighted loads of that bank and
-        re-measure.  Blocks whose boosted schedule fits are left
-        entirely alone, so the feedback can only ever trade hidden
-        latency against real spill traffic."""
+        actually produced (against the DAG's live-out set), and — only
+        when a bank overflows its allocatable size (i.e. the allocator
+        *would* spill) — strip the boost from the lowest-weighted loads
+        of that bank and re-measure.  Blocks whose boosted schedule
+        fits are left entirely alone, so the feedback can only ever
+        trade hidden latency against real spill traffic."""
         from .list_scheduler import list_schedule_with_weights
 
+        if dag.live_out is None:
+            raise ValueError("pressure feedback needs the block's "
+                             "live-out set: build_dag(..., live_out=...)")
         budget = {"i": self.config.allocatable_int_regs,
                   "f": self.config.allocatable_fp_regs}
         limit = self.config.pressure_limit
         for _ in range(4):
             order = list_schedule_with_weights(dag, result,
                                                pressure_limit=limit)
-            maxlive = _scheduled_maxlive(dag, order)
+            maxlive = block_pressure([dag.instrs[node] for node in order],
+                                     dag.live_out)
             demoted = False
             for bank in ("i", "f"):
                 excess = maxlive[bank] - budget[bank]
@@ -237,55 +242,6 @@ class BalancedWeights(WeightModel):
                     demoted = True
             if not demoted:
                 return
-
-
-def _scheduled_maxlive(dag: Dag, order: list[int]) -> dict[str, int]:
-    """Per-bank MAXLIVE of a scheduled block order.
-
-    A register is live from its first definition (or slot 0 when read
-    before any local definition, i.e. live in) to its last local read;
-    a value whose final definition is never read in the block is
-    assumed live out and held to the end.  Zero registers are ignored
-    — they never occupy an allocatable slot.
-    """
-    n = len(order)
-    maxlive = {"i": 0, "f": 0}
-    if n == 0:
-        return maxlive
-    first_def: dict = {}
-    last_def: dict = {}
-    first_use: dict = {}
-    last_use: dict = {}
-    for slot, node in enumerate(order):
-        ins = dag.instrs[node]
-        for reg in ins.uses():
-            if not reg.is_zero:
-                first_use.setdefault(reg, slot)
-                last_use[reg] = slot
-        for reg in ins.defs():
-            if not reg.is_zero:
-                first_def.setdefault(reg, slot)
-                last_def[reg] = slot
-    start_at: list[list[str]] = [[] for _ in range(n)]
-    end_at: list[list[str]] = [[] for _ in range(n)]
-    for reg in set(first_def) | set(first_use):
-        fd = first_def.get(reg)
-        fu = first_use.get(reg)
-        start = fd if fd is not None and (fu is None or fd <= fu) else 0
-        lu = last_use.get(reg, -1)
-        end = lu if lu >= last_def.get(reg, -1) else n - 1
-        start_at[start].append(reg.kind)
-        end_at[end].append(reg.kind)
-    live = {"i": 0, "f": 0}
-    for slot in range(n):
-        for bank in start_at[slot]:
-            live[bank] += 1
-        for bank in ("i", "f"):
-            if live[bank] > maxlive[bank]:
-                maxlive[bank] = live[bank]
-        for bank in end_at[slot]:
-            live[bank] -= 1
-    return maxlive
 
 
 def _comparability_components(mask: int, reach: list[int]) -> list[list[int]]:

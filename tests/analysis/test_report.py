@@ -12,10 +12,11 @@ from repro.analysis import (
     format_report,
 )
 from repro.check import NOTE, WARNING, lint_loop_analysis
-from repro.harness.compile import Options
+from repro.harness.compile import Options, compile_source
 from repro.ir import BasicBlock, Cfg
 from repro.isa import Instruction, Reg
 from repro.machine import DEFAULT_CONFIG
+from repro.workloads import WORKLOADS
 
 TRIAD = """
 array X[64] : float;
@@ -156,3 +157,13 @@ def test_kernel_pressure_silent_within_budget():
     cfg = _overpressure_cfg(n_fp=4)
     assert not [d for d in lint_loop_analysis(cfg)
                 if d.rule == "kernel-pressure"]
+
+
+def test_analyze_flags_the_block_that_spills():
+    # tomcatv's lu8 compile spills one slot; the analysis must see an
+    # over-budget block there, as the allocator counts registers.
+    options = Options(unroll=8)
+    source = WORKLOADS["tomcatv"].source
+    report = analyze_program(source, options, "tomcatv")
+    assert compile_source(source, options, "tomcatv").allocation.n_slots == 1
+    assert report["over_budget_blocks"]

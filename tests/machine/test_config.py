@@ -78,7 +78,6 @@ class TestSimpleModel:
     def test_idealizations(self):
         config = simple_stochastic_config()
         assert config.perfect_icache
-        assert config.perfect_dtlb
         assert config.memory_model == "stochastic"
 
     def test_hit_rate_parameter(self):

@@ -1,14 +1,18 @@
-"""Pressure feedback in the balanced weights (schedule-driven MAXLIVE)."""
+"""Pressure feedback in the balanced weights (schedule-driven MAXLIVE).
+
+The feedback measures each trial order with
+:func:`repro.analysis.pressure.block_pressure` against the live-out set
+the DAG carries; ``tests/analysis/test_pressure.py`` pins that count.
+"""
 
 import pytest
 
-from repro.harness.compile import Options
+from repro.harness.compile import Options, compile_source
 from repro.ir import build_dag
 from repro.isa import Instruction, MemRef, Reg
 from repro.machine import DEFAULT_CONFIG
 from repro.sched import BalancedWeights
-from repro.sched.weights import _scheduled_maxlive
-from repro.workloads import parallel_loads_dag
+from repro.workloads import WORKLOADS, parallel_loads_dag
 
 
 def vi(n):
@@ -25,7 +29,16 @@ def _fld(dest, base, element):
                        mem=MemRef("data", "A", affine=({}, element)))
 
 
-def _overflow_dag(n_loads=None, n_alu=8):
+def _dag(instrs, held=()):
+    """DAG whose live-out is every value no instruction reads, plus
+    *held* (values live across the block without being touched)."""
+    read = {reg for ins in instrs for reg in ins.uses()}
+    unread = [ins.dest for ins in instrs
+              if ins.dest is not None and ins.dest not in read]
+    return build_dag(instrs, live_out=[*unread, *held])
+
+
+def _overflow_dag(n_loads=None, n_alu=8, held=()):
     """Independent FP loads, all live to the block end, over budget."""
     if n_loads is None:
         n_loads = DEFAULT_CONFIG.allocatable_fp_regs + 5
@@ -35,55 +48,38 @@ def _overflow_dag(n_loads=None, n_alu=8):
     for k in range(n_alu):
         instrs.append(Instruction("ADD", dest=vi(2000 + k),
                                   srcs=(vi(9000),), imm=k))
-    return build_dag(instrs)
-
-
-# ---------------------------------------------------- scheduled MAXLIVE
-def test_scheduled_maxlive_empty():
-    dag = build_dag([])
-    assert _scheduled_maxlive(dag, []) == {"i": 0, "f": 0}
-
-
-def test_scheduled_maxlive_chain():
-    instrs = [Instruction("LDI", dest=vi(0), imm=1),
-              Instruction("ADD", dest=vi(1), srcs=(vi(0),), imm=1),
-              Instruction("ADD", dest=vi(2), srcs=(vi(1),), imm=1)]
-    dag = build_dag(instrs)
-    # v0 live [0,1], v1 live [1,2], v2 (never read) held to the end.
-    assert _scheduled_maxlive(dag, [0, 1, 2])["i"] == 2
-
-
-def test_scheduled_maxlive_counts_live_in():
-    # v7 is read before any local def: live from slot 0.
-    instrs = [Instruction("LDI", dest=vi(0), imm=1),
-              Instruction("ADD", dest=vi(1), srcs=(vi(7),), imm=1)]
-    dag = build_dag(instrs)
-    assert _scheduled_maxlive(dag, [0, 1])["i"] == 3
-
-
-def test_scheduled_maxlive_ignores_zero_registers():
-    instrs = [Instruction("ADD", dest=vi(0), srcs=(Reg("i", 31),),
-                          imm=1)]
-    dag = build_dag(instrs)
-    assert _scheduled_maxlive(dag, [0]) == {"i": 1, "f": 0}
-
-
-def test_scheduled_maxlive_separates_banks():
-    instrs = [Instruction("LDI", dest=vi(0), imm=8),
-              _fld(1, 0, 0), _fld(2, 0, 1),
-              Instruction("FADD", dest=vf(3), srcs=(vf(1), vf(2)))]
-    dag = build_dag(instrs)
-    live = _scheduled_maxlive(dag, [0, 1, 2, 3])
-    assert live["f"] == 3           # f1, f2 at the FADD defining f3
-    assert live["i"] == 1
+    return _dag(instrs, held)
 
 
 # ------------------------------------------------------- feedback loop
 def test_feedback_noop_when_block_fits():
-    dag = parallel_loads_dag(n_loads=4, n_alu=8)
+    dag = _dag(parallel_loads_dag(n_loads=4, n_alu=8).instrs)
     base = BalancedWeights().weights(dag)
     fed = BalancedWeights(pressure=True).weights(dag)
     assert fed == base
+
+
+def test_feedback_refuses_a_dag_without_live_out():
+    # Counting nothing live out would under-report every block.
+    dag = parallel_loads_dag(n_loads=4, n_alu=8)
+    assert dag.live_out is None
+    BalancedWeights().weights(dag)      # no feedback, no live-out needed
+    with pytest.raises(ValueError, match="live-out"):
+        BalancedWeights(pressure=True).weights(dag)
+
+
+def test_feedback_counts_values_live_across_the_block():
+    # Four loads fit the FP bank on their own; with the rest of the
+    # bank held by values live across the block, they overflow it.
+    floor = float(DEFAULT_CONFIG.load_hit_latency)
+    held = [vf(500 + k) for k in range(DEFAULT_CONFIG.allocatable_fp_regs
+                                       - 2)]
+    alone = _overflow_dag(n_loads=4)
+    crowded = _overflow_dag(n_loads=4, held=held)
+    assert BalancedWeights(pressure=True).weights(alone) == \
+        BalancedWeights().weights(alone)
+    fed = BalancedWeights(pressure=True).weights(crowded)
+    assert any(fed[k] == floor for k in crowded.load_indices())
 
 
 def test_feedback_demotes_on_overflow():
@@ -116,7 +112,7 @@ def test_feedback_prefers_lowest_weighted_loads():
     for k in range(6):
         instrs.append(Instruction("FADD", dest=vf(101 + k),
                                   srcs=(vf(100 + k), vf(100 + k))))
-    dag = build_dag(instrs)
+    dag = _dag(instrs)
     base = BalancedWeights().weights(dag)
     fed = BalancedWeights(pressure=True).weights(dag)
     load_nodes = [k for k, ins in enumerate(dag.instrs) if ins.is_load]
@@ -137,3 +133,16 @@ def test_pressure_option_label_and_validation():
 
 def test_pressure_label_absent_by_default():
     assert "prs" not in Options().label()
+
+
+# ------------------------------------------- the --pressure claims, pinned
+@pytest.mark.parametrize("name, plain_slots", [("ARC2D", 3), ("hydro2d", 5)])
+def test_pressure_feedback_removes_the_lu8_spills(name, plain_slots):
+    # The two benchmarks whose balanced lu8 schedules overflow a bank.
+    # Feedback measured the allocator's way leaves no spill slot (a
+    # count that let a dying source lend its register left one).
+    source = WORKLOADS[name].source
+    plain = compile_source(source, Options(unroll=8), name)
+    fed = compile_source(source, Options(unroll=8, pressure=True), name)
+    assert plain.allocation.n_slots == plain_slots
+    assert fed.allocation.n_slots == 0

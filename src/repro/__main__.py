@@ -54,6 +54,7 @@ from .harness import (
     TABLE_CONFIGS,
     ExperimentRunner,
     Options,
+    attach_section,
     compile_source,
     options_for,
 )
@@ -185,8 +186,9 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
     _add_oracle_budget_flag(parser)
 
 
-def _oracle_runner(args: argparse.Namespace):
-    from .oracle import DEFAULT_BUDGET, OracleBudget, OracleRunner
+def _oracle_runner(args: argparse.Namespace, runner: ExperimentRunner):
+    """The oracle on the command's runner: its store, jobs and pool."""
+    from .oracle import DEFAULT_BUDGET, OracleRunner
 
     budget = DEFAULT_BUDGET
     if args.oracle_budget is not None:
@@ -194,17 +196,15 @@ def _oracle_runner(args: argparse.Namespace):
             raise SystemExit(
                 f"repro: --oracle-budget must be > 0, "
                 f"got {args.oracle_budget}")
-        budget = OracleBudget(max_nodes=args.oracle_budget)
-    return OracleRunner(jobs=_resolve_jobs(args.jobs), budget=budget)
+        budget = args.oracle_budget
+    return OracleRunner(runner, budget)
 
 
-def _run_oracle(args: argparse.Namespace, runner,
-                benchmarks: list[str] | None = None) -> None:
+def _run_oracle(oracle, benchmarks: list[str] | None = None) -> None:
     """Oracle sweep for ``--oracle``: print the summary, attach it to
     the run manifest (manifest v4) when one was written."""
-    from .oracle import attach_oracle, oracle_summary
+    from .oracle import oracle_summary
 
-    oracle = _oracle_runner(args)
     payloads = oracle.sweep(benchmarks=benchmarks, configs=["base"])
     summary = oracle_summary(payloads)
     totals = summary["totals"]
@@ -213,9 +213,9 @@ def _run_oracle(args: argparse.Namespace, runner,
           f"certified, {totals['loops_certified']}/{totals['loops']} "
           f"loops certified, {totals['loops_beyond_heuristic']} loops "
           f"settled beyond the heuristic", file=sys.stderr)
-    if runner is not None and runner.use_cache \
-            and runner.manifest_path.exists():
-        attach_oracle(runner.manifest_path, summary)
+    runner = oracle.runner
+    if runner.use_cache and runner.manifest_path.exists():
+        attach_section(runner.manifest_path, "oracle", summary)
         print(f"oracle section attached: {runner.manifest_path}",
               file=sys.stderr)
 
@@ -319,7 +319,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if runner.use_cache:
         print(f"run manifest: {runner.manifest_path}", file=sys.stderr)
     if args.oracle:
-        _run_oracle(args, runner, benchmarks=names)
+        _run_oracle(_oracle_runner(args, runner), benchmarks=names)
     _finish_trace(observer, args)
     return 0
 
@@ -351,7 +351,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         print()
         print(table.format())
     if args.oracle:
-        _run_oracle(args, runner)
+        _run_oracle(_oracle_runner(args, runner))
     _finish_trace(observer, args)
     return 0
 
@@ -366,7 +366,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                               jobs=_resolve_jobs(args.jobs),
                               observer=observer)
     configs = _resolve_configs(args)
-    oracle = _oracle_runner(args) if args.oracle else None
+    oracle = _oracle_runner(args, runner) if args.oracle else None
     if args.output:
         text = write_report(args.output, runner, configs=configs,
                             oracle=oracle)
@@ -374,10 +374,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         text = build_report(runner, configs=configs, oracle=oracle)
     print(text)
-    if args.oracle:
+    if oracle is not None:
         # The report already swept the oracle grid (memoized); this
         # only prints the one-line summary and attaches manifest v4.
-        _run_oracle(args, runner)
+        _run_oracle(oracle)
     _finish_trace(observer, args)
     return 0
 
@@ -420,7 +420,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"metrics {metrics.load_interlock_cycles}",
               file=sys.stderr)
     prov = observer.provenance
-    if prov is not None and len(prov):
+    if len(prov):
         deviating = len(prov.balanced_deviations())
         print(f"\nschedule provenance ({len(prov)} loads, "
               f"{deviating} with non-architectural weights; "
@@ -450,8 +450,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f"{', '.join(unknown)} (known: "
             f"{', '.join(WORKLOAD_ORDER)})")
     configs = _resolve_configs(args) or ["base"]
-    oracle = _oracle_runner(args)
-    oracle.verbose = True
+    oracle = _oracle_runner(args, ExperimentRunner(
+        verbose=True, jobs=_resolve_jobs(args.jobs)))
     payloads = oracle.sweep(benchmarks=names, configs=configs)
     if args.json:
         print(_json.dumps(payloads if args.full
@@ -508,8 +508,7 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .analysis import (analysis_summary, analyze_program,
-                           attach_analysis, format_report)
+    from .analysis import analysis_summary, analyze_program, format_report
 
     names = args.names or list(WORKLOAD_ORDER)
     unknown = [n for n in names if n not in WORKLOADS]
@@ -542,7 +541,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not path.exists():
             raise SystemExit(
                 f"repro analyze: no manifest at {path}")
-        attach_analysis(path, summary)
+        attach_section(path, "analysis", summary)
         print(f"analysis section attached: {path}", file=sys.stderr)
     return 0
 

@@ -18,7 +18,6 @@ from .report import (
     analysis_summary,
     analyze_cfg,
     analyze_program,
-    attach_analysis,
     format_report,
 )
 
@@ -29,5 +28,5 @@ __all__ = [
     "analyze_loop_body", "classify", "classify_source_pair",
     "block_pressure", "cfg_pressure", "over_budget",
     "ANALYSIS_SCHEMA_VERSION", "analysis_summary", "analyze_cfg",
-    "analyze_program", "attach_analysis", "format_report",
+    "analyze_program", "format_report",
 ]

@@ -21,9 +21,6 @@ threshold 0.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from ..check.lints import lint_loop_analysis
 from ..ir.cfg import Cfg
 from ..ir.loops import find_loops
@@ -59,7 +56,7 @@ class _PreRegallocSnapshot:
     def before_swp(self, cfg: Cfg) -> None:
         pass
 
-    def after_swp(self, cfg: Cfg, kernels) -> None:
+    def after_swp(self, cfg: Cfg) -> None:
         pass
 
     def before_regalloc(self, cfg: Cfg) -> None:
@@ -216,13 +213,3 @@ def analysis_summary(reports: list[dict]) -> dict:
         "points": dict(sorted(points.items())),
         "totals": totals,
     }
-
-
-def attach_analysis(manifest_path: Path, summary: dict) -> None:
-    """Atomically rewrite a run manifest with the ``analysis`` section."""
-    from ..harness.store import atomic_write_json
-
-    path = Path(manifest_path)
-    data = json.loads(path.read_text())
-    data["analysis"] = summary
-    atomic_write_json(path, data)

@@ -40,7 +40,6 @@ from .dependence import (
     BlockDeps,
     DepSnapshot,
     check_dependences,
-    check_pipelined_kernels,
     snapshot_dependences,
 )
 from .diagnostics import (
@@ -70,7 +69,7 @@ __all__ = [
     "TOP", "DataflowAnalysis", "DefiniteAssignment", "LiveVariables",
     "ReachingDefinitions", "solve",
     "BlockDeps", "DepSnapshot", "check_dependences",
-    "check_pipelined_kernels", "snapshot_dependences",
+    "snapshot_dependences",
     "ERROR", "NOTE", "SEVERITIES", "WARNING", "CheckError", "Diagnostic",
     "sort_diagnostics", "worst_severity",
     "lint_ast", "lint_cfg", "lint_loop_analysis",

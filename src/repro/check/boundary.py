@@ -24,8 +24,9 @@ boundary                  validators
 ``opt.*`` (each cleanup)  same as ``lower``
 ``sched.block`` /         dependence embedding (mode block/trace) +
 ``sched.trace``           the structural family
-``sched.modulo``          dependence embedding (mode kernel), doubled-
-                          kernel replay, structural family
+``sched.modulo``          dependence embedding (mode kernel),
+                          structural family (``compile_source``
+                          replays the doubled kernels inline)
 ``codegen.regalloc``      interval-overlap allocation check,
                           discipline(physical), def-before-use
                           (physical), structure
@@ -43,7 +44,6 @@ from ..obs import NULL_OBSERVER, Observer
 from .dependence import (
     DepSnapshot,
     check_dependences,
-    check_pipelined_kernels,
     snapshot_dependences,
 )
 from .diagnostics import CheckError, Diagnostic
@@ -142,7 +142,7 @@ class PipelineValidator:
         """Fresh snapshot: swp runs over the already-scheduled CFG."""
         self._swp_snapshot = snapshot_dependences(cfg)
 
-    def after_swp(self, cfg: Cfg, kernels) -> None:
+    def after_swp(self, cfg: Cfg) -> None:
         """Kernel-aware dependence check after modulo scheduling."""
         pass_name = "sched.modulo"
         self.boundaries.append(pass_name)
@@ -152,7 +152,6 @@ class PipelineValidator:
             if self._swp_snapshot is not None:
                 diags += check_dependences(cfg, self._swp_snapshot,
                                            pass_name, mode="kernel")
-            diags += check_pipelined_kernels(cfg, kernels, pass_name)
             diags += self._structural(cfg, pass_name)
             self._report(diags)
 
@@ -202,7 +201,7 @@ class _NullValidator:
     def before_swp(self, cfg: Cfg) -> None:
         pass
 
-    def after_swp(self, cfg: Cfg, kernels) -> None:
+    def after_swp(self, cfg: Cfg) -> None:
         pass
 
     def before_regalloc(self, cfg: Cfg) -> None:

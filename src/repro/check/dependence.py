@@ -26,18 +26,18 @@ Three modes match the three schedulers:
   (a fresh copy) and unreachable blocks pruned, so only arcs whose two
   endpoints land in the same final block are order-checked.
 * ``"kernel"`` (:func:`repro.sched.modulo.pipeline_loops`): untouched
-  blocks are held to the strict per-block rule; the freshly built
-  prologue/kernel/epilogue blocks are instead validated by replaying
-  the doubled kernel stream against the modulo scheduler's own
-  cross-iteration metadata
-  (:func:`repro.codegen.verify.verify_pipelined_kernels`).
+  blocks are held to the strict per-block rule.  The freshly built
+  prologue/kernel/epilogue blocks are left to
+  :func:`repro.codegen.verify.verify_pipelined_kernels`, which
+  :func:`repro.harness.compile.compile_source` runs right after the
+  pipeliner: it replays the doubled kernel stream against the modulo
+  scheduler's own cross-iteration metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..codegen.verify import VerificationError, verify_pipelined_kernels
 from ..ir import Cfg, build_dag
 from .diagnostics import ERROR, Diagnostic
 
@@ -142,25 +142,4 @@ def check_dependences(cfg: Cfg, snapshot: DepSnapshot, pass_name: str,
                     f"{kind} dependence violated: '{dst_text}' now "
                     f"issues before '{src_text}'", pass_name,
                     src_block))
-    return diags
-
-
-def check_pipelined_kernels(cfg: Cfg, kernels,
-                            pass_name: str = "sched.modulo"
-                            ) -> list[Diagnostic]:
-    """Kernel-aware dependence check for modulo-scheduled loops.
-
-    Replays each kernel block twice back-to-back (the steady state)
-    and validates every cross-iteration register version and memory
-    ordering against the scheduler's own
-    :class:`~repro.sched.modulo.KernelInfo` metadata, reporting
-    violations as diagnostics instead of a bare exception.
-    """
-    diags: list[Diagnostic] = []
-    for info in kernels:
-        try:
-            verify_pipelined_kernels(cfg, [info])
-        except VerificationError as exc:
-            diags.append(_diag("kernel-dependence", str(exc), pass_name,
-                               info.kernel_label))
     return diags

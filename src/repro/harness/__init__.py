@@ -17,13 +17,14 @@ from .experiment import (
     RunResult,
     RunTiming,
     arithmetic_mean,
+    attach_section,
     geometric_mean,
     load_manifest,
     options_for,
     parse_manifest,
 )
 from .report import build_report, write_report
-from .store import ResultStore, StoreKey, atomic_write_json, source_hash
+from .store import ResultStore, StoreKey, atomic_write_json
 from .tables import (
     ALL_TABLES,
     TABLE_CONFIGS,
@@ -46,11 +47,11 @@ __all__ = [
     "CompileResult", "Options", "compile_and_run", "compile_source",
     "make_weight_model", "run_compiled",
     "CONFIGS", "SCHEDULERS", "ExperimentRunner", "RunResult",
-    "RunTiming", "Manifest", "ManifestRun", "load_manifest",
-    "parse_manifest",
+    "RunTiming", "Manifest", "ManifestRun", "attach_section",
+    "load_manifest", "parse_manifest",
     "arithmetic_mean", "geometric_mean", "options_for",
     "build_report", "write_report",
-    "ResultStore", "StoreKey", "atomic_write_json", "source_hash",
+    "ResultStore", "StoreKey", "atomic_write_json",
     "ALL_TABLES", "TABLE_CONFIGS", "Table", "format_table",
     "generate_all",
     "table1", "table2", "table3", "table4", "table5", "table6",

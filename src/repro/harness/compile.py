@@ -275,7 +275,7 @@ def compile_source(source: str, options: Options = Options(),
                     span.annotate(
                         loops_attempted=modulo_stats.attempted,
                         loops_pipelined=modulo_stats.pipelined)
-            validator.after_swp(cfg, modulo_stats.kernels)
+            validator.after_swp(cfg)
 
         validator.before_regalloc(cfg)
         with observer.span("regalloc") as span:

@@ -6,11 +6,12 @@ unrolling (0/4/8), trace scheduling, and locality analysis.  The runner
 compiles every workload under a configuration, simulates it, and
 returns a compact :class:`RunResult`.
 
-Results are cached on disk (keyed by a hash of the package sources,
-the workload program and the configuration), so regenerating all
-tables after the first full run is cheap.  Cache writes are atomic
-(temp file + ``os.replace``) so concurrent or interrupted runs never
-leave a torn entry; corrupt entries are discarded and recomputed.
+Results are cached on disk (keyed by the grid point and a hash of the
+package sources, which include every workload program and the machine
+model), so regenerating all tables after the first full run is cheap.
+Cache writes are atomic (temp file + ``os.replace``) so concurrent or
+interrupted runs never leave a torn entry; corrupt entries are
+discarded and recomputed.
 Set ``REPRO_CACHE_DIR`` to relocate the cache and ``REPRO_NO_CACHE=1``
 to disable it.
 
@@ -18,6 +19,9 @@ The grid points are embarrassingly parallel: ``sweep(jobs=N)`` fans
 the uncached points out over a :class:`ProcessPoolExecutor` (one
 worker call per ``(benchmark, scheduler, config)`` point) and returns
 results in deterministic grid order regardless of completion order.
+:meth:`ExperimentRunner.run_pending` is that loop, cache and pool
+alike; the scheduling oracle's sweep (:mod:`repro.oracle.gap`) runs
+on it too.
 Every executed point records its phase timings (the self seconds of
 the observer spans inside its ``grid-point`` span), simulated-instruction
 throughput and its fast-engine code-cache hits and misses.  ``sweep``
@@ -29,6 +33,7 @@ runner dropped and the orphaned temp files it reaped.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -41,19 +46,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from ..machine import (
-    DEFAULT_CONFIG,
-    MachineConfig,
-    Simulator,
-    config_from_json,
-    config_hash,
-    config_to_json,
-    fastsim,
-)
+from ..machine import Simulator, fastsim
 from ..obs import NULL_OBSERVER, Observer
 from ..workloads.programs import WORKLOADS, Workload
 from .compile import Options, compile_source
-from .store import ResultStore, StoreKey, atomic_write_json, source_hash
+from .store import ResultStore, StoreKey, atomic_write_json
 
 #: The paper's configuration axes, by short name.
 CONFIGS: dict[str, dict] = {
@@ -80,7 +77,7 @@ MANIFEST_NAME = "run-manifest.json"
 
 #: Manifest schema version.  v3 added the ``partial`` flag (graceful
 #: shutdown writes a well-formed manifest for the completed prefix of
-#: the grid) and machine-config-aware cache keys.  v4 added the
+#: the grid).  v4 added the
 #: optional ``oracle`` section (heuristic-gap summary from
 #: ``repro.oracle``, attached by the ``--oracle`` CLI flag and gated
 #: by ``repro obs-diff``).  v5 added a ``metrics`` section (a metrics
@@ -291,14 +288,19 @@ def load_manifest(path: str | Path) -> Manifest:
     return parse_manifest(json.loads(Path(path).read_text()))
 
 
-def options_for(scheduler: str, config: str,
-                machine: Optional[MachineConfig] = None) -> Options:
-    """Build compiler options for a named grid point, optionally on a
-    non-default machine description."""
-    knobs = CONFIGS[config]
-    if machine is not None:
-        return Options(scheduler=scheduler, config=machine, **knobs)
-    return Options(scheduler=scheduler, **knobs)
+def attach_section(manifest_path: Path, section: str,
+                   summary: dict) -> None:
+    """Atomically rewrite a run manifest with one more section
+    (``oracle`` or ``analysis``), keeping everything else."""
+    path = Path(manifest_path)
+    data = json.loads(path.read_text())
+    data[section] = summary
+    atomic_write_json(path, data)
+
+
+def options_for(scheduler: str, config: str) -> Options:
+    """Build compiler options for a named grid point."""
+    return Options(scheduler=scheduler, **CONFIGS[config])
 
 
 def _package_fingerprint(root: Optional[Path] = None) -> str:
@@ -324,8 +326,7 @@ def _package_fingerprint(root: Optional[Path] = None) -> str:
 
 def _execute_grid_point(workload: Workload, scheduler: str,
                         config: str,
-                        observer: Observer = NULL_OBSERVER,
-                        machine: Optional[MachineConfig] = None
+                        observer: Observer = NULL_OBSERVER
                         ) -> tuple[RunResult, RunTiming]:
     """Compile and simulate one grid point; its phases are the self
     seconds of the spans inside its ``grid-point`` span."""
@@ -333,7 +334,7 @@ def _execute_grid_point(workload: Workload, scheduler: str,
     observer.take_seconds()     # drop spans timed before this point
     with observer.span("grid-point", benchmark=workload.name,
                        scheduler=scheduler, config=config):
-        options = options_for(scheduler, config, machine=machine)
+        options = options_for(scheduler, config)
         compiled = compile_source(workload.source, options,
                                   workload.name, observer=observer)
         stall_profile = observer.stall_profile(workload.name, scheduler,
@@ -390,23 +391,69 @@ def _execute_grid_point(workload: Workload, scheduler: str,
     return result, timing
 
 
-def _pool_run(benchmark: str, scheduler: str, config: str,
-              cache_dir: str, use_cache: bool, fingerprint: str,
-              machine_json: Optional[dict] = None):
-    """Worker entry point: one grid point in a child process.
-
-    The parent's pre-computed package fingerprint is passed in so the
-    worker never re-hashes the package sources; a non-default machine
-    description travels as plain JSON (picklable, version-stable).
-    """
-    machine = config_from_json(machine_json) if machine_json else None
+def _worker_runner(cache_dir: str, use_cache: bool,
+                   fingerprint: str) -> "ExperimentRunner":
+    """A pool worker's runner on its parent's store.  The parent's
+    fingerprint is passed in, so the worker never re-hashes the package
+    sources."""
     runner = ExperimentRunner(cache_dir=Path(cache_dir),
-                              fingerprint=fingerprint,
-                              machine_config=machine)
+                              fingerprint=fingerprint)
     runner.use_cache = use_cache
+    return runner
+
+
+def _pool_run(benchmark: str, scheduler: str, config: str,
+              cache_dir: str, use_cache: bool, fingerprint: str):
+    """Worker entry point: one grid point in a child process."""
+    runner = _worker_runner(cache_dir, use_cache, fingerprint)
     result = runner.run(benchmark, scheduler, config)
-    timing = runner.timings.get((benchmark, scheduler, config))
-    return benchmark, scheduler, config, result, timing
+    return result, runner.timings.get((benchmark, scheduler, config))
+
+
+def _arm_sigterm():
+    """Make SIGTERM raise (like SIGINT) for the duration of a sweep,
+    so ``kill <pid>`` drains into the partial-manifest path instead of
+    dying mid-write.  Returns a restore callback; a no-op off the main
+    thread, where signals cannot be armed."""
+    if threading.current_thread() is not threading.main_thread():
+        return lambda: None
+
+    def _on_sigterm(signum, frame):
+        raise SystemExit(128 + signum)
+
+    try:
+        previous = signal.signal(signal.SIGTERM, _on_sigterm)
+    except (ValueError, OSError):
+        return lambda: None
+    return lambda: signal.signal(signal.SIGTERM, previous)
+
+
+def fan_out(worker, points: list[tuple], args: tuple, jobs: int,
+            on_result) -> None:
+    """Call ``worker(*point, *args)`` for every point over a pool of at
+    most *jobs* processes, and ``on_result(point, value)`` with each
+    return value in completion order.
+
+    Any interruption (a signal, a worker dying under the pool, an
+    exception from *on_result*) cancels the queued points and abandons
+    the running ones before it propagates.
+    """
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(points)))
+    futures = {}
+    try:
+        for point in points:
+            futures[pool.submit(worker, *point, *args)] = point
+        for future in as_completed(futures):
+            on_result(futures[future], future.result())
+    except BaseException:
+        # Cancel here: the pool's own cancel_futures runs later, in
+        # its manager thread, and is skipped once the pool has been
+        # garbage-collected -- which unwinding this frame allows.
+        for future in futures:
+            future.cancel()
+        pool.shutdown(wait=False)
+        raise
+    pool.shutdown(wait=True)
 
 
 class ExperimentRunner:
@@ -415,8 +462,7 @@ class ExperimentRunner:
     def __init__(self, cache_dir: Optional[Path] = None,
                  verbose: bool = False, jobs: int = 1,
                  fingerprint: Optional[str] = None,
-                 observer: Observer = NULL_OBSERVER,
-                 machine_config: Optional[MachineConfig] = None) -> None:
+                 observer: Observer = NULL_OBSERVER) -> None:
         if cache_dir is None:
             cache_dir = Path(
                 os.environ.get("REPRO_CACHE_DIR",
@@ -425,13 +471,6 @@ class ExperimentRunner:
         self.use_cache = os.environ.get("REPRO_NO_CACHE") != "1"
         self.verbose = verbose
         self.jobs = max(1, jobs)
-        #: Machine the whole grid is compiled for and simulated on;
-        #: None means :data:`~repro.machine.DEFAULT_CONFIG`.  Its hash
-        #: is part of every cache key, so results simulated on
-        #: different machines can never be confused for one another.
-        self.machine_config = machine_config
-        self._machine_hash = config_hash(machine_config
-                                         or DEFAULT_CONFIG)
         self._store = ResultStore(self.cache_dir)
         #: Orphaned temp files this runner reaped at startup.
         self.orphans_reaped = 0
@@ -461,22 +500,24 @@ class ExperimentRunner:
         _REAPED_ROOTS.add(root)
         self.orphans_reaped = len(self._store.reap_orphans())
 
-    def _store_key(self, workload: Workload, scheduler: str,
-                   config: str) -> StoreKey:
-        return StoreKey(benchmark=workload.name, scheduler=scheduler,
-                        config=config, fingerprint=self._fingerprint,
-                        source_hash=source_hash(workload.source),
-                        machine_hash=self._machine_hash)
+    def store_key(self, benchmark: str, scheduler: str,
+                  config: str) -> StoreKey:
+        return StoreKey(benchmark=benchmark, scheduler=scheduler,
+                        config=config, fingerprint=self._fingerprint)
 
-    def _cache_path(self, workload: Workload, scheduler: str,
-                    config: str) -> Path:
-        return self._store.path_for(
-            self._store_key(workload, scheduler, config))
+    def load(self, key: StoreKey) -> Optional[dict]:
+        """The stored payload for *key*; None on a miss or with the
+        cache off."""
+        return self._store.load(key) if self.use_cache else None
 
-    def _load_cached(self, key: StoreKey) -> Optional[RunResult]:
-        if not self.use_cache:
-            return None
-        data = self._store.load(key)
+    def save(self, key: StoreKey, payload: dict) -> None:
+        if self.use_cache:
+            self._store.store(key, payload)
+
+    def _load_cached(self, key: tuple[str, str, str]
+                     ) -> Optional[RunResult]:
+        store_key = self.store_key(*key)
+        data = self.load(store_key)
         if data is None:
             return None
         try:
@@ -485,15 +526,10 @@ class ExperimentRunner:
             # Stale-schema entry: drop it so the refreshed result
             # replaces it (another process may already have).
             try:
-                self._store.path_for(key).unlink(missing_ok=True)
+                self._store.path_for(store_key).unlink(missing_ok=True)
             except OSError:
                 pass
             return None
-
-    def _store_cached(self, key: StoreKey, result: RunResult) -> None:
-        if not self.use_cache:
-            return
-        self._store.store(key, asdict(result))
 
     # --------------------------------------------------------------- runs
     def run(self, benchmark: str, scheduler: str, config: str) -> RunResult:
@@ -501,10 +537,8 @@ class ExperimentRunner:
         key = (benchmark, scheduler, config)
         if key in self._memory:
             return self._memory[key]
-        workload = WORKLOADS[benchmark]
-        store_key = self._store_key(workload, scheduler, config)
         result = None if self.observer.enabled else \
-            self._load_cached(store_key)
+            self._load_cached(key)
         if result is not None:
             self.timings[key] = RunTiming(
                 benchmark=benchmark, scheduler=scheduler, config=config,
@@ -513,10 +547,10 @@ class ExperimentRunner:
             if self.verbose:
                 print(f"  running {benchmark} / {scheduler} / {config}")
             result, timing = _execute_grid_point(
-                workload, scheduler, config, observer=self.observer,
-                machine=self.machine_config)
+                WORKLOADS[benchmark], scheduler, config,
+                observer=self.observer)
             self.timings[key] = timing
-            self._store_cached(store_key, result)
+            self.save(self.store_key(*key), asdict(result))
         self._memory[key] = result
         return result
 
@@ -550,39 +584,25 @@ class ExperimentRunner:
 
         # Resolve memory/disk hits in-process; only misses need a core.
         pending: list[tuple[str, str, str]] = []
-        for key in grid:
+        for key in dict.fromkeys(grid):
             if key in self._memory:
                 continue
-            if self.observer.enabled:
+            cached = None if self.observer.enabled else \
+                self._load_cached(key)
+            if cached is None:
                 pending.append(key)
                 continue
-            benchmark, scheduler, config = key
-            store_key = self._store_key(WORKLOADS[benchmark],
-                                        scheduler, config)
-            cached = self._load_cached(store_key)
-            if cached is not None:
-                self._memory[key] = cached
-                self.timings[key] = RunTiming(
-                    benchmark=benchmark, scheduler=scheduler,
-                    config=config, cached=True,
-                    simulated_instructions=cached.instructions)
-            else:
-                pending.append(key)
+            self._memory[key] = cached
+            self.timings[key] = RunTiming(
+                *key, cached=True,
+                simulated_instructions=cached.instructions)
 
-        unique_pending = list(dict.fromkeys(pending))
         failure: Optional[BaseException] = None
-        restore_sigterm = self._arm_sigterm()
         try:
-            if len(unique_pending) <= 1 or jobs == 1:
-                for done, key in enumerate(unique_pending, start=1):
-                    self.run(*key)
-                    self._progress(done, len(unique_pending), key)
-            else:
-                self._sweep_parallel(unique_pending, jobs)
+            self.run_pending(pending, jobs, self.run, _pool_run,
+                             self._collect)
         except BaseException as exc:   # incl. KeyboardInterrupt/SystemExit
             failure = exc
-        finally:
-            restore_sigterm()
 
         try:
             self._write_manifest(grid, jobs,
@@ -597,60 +617,50 @@ class ExperimentRunner:
             raise failure
         return [self._memory[key] for key in grid]
 
-    @staticmethod
-    def _arm_sigterm():
-        """Make SIGTERM raise (like SIGINT) for the duration of a
-        sweep, so ``kill <pid>`` drains into the partial-manifest path
-        instead of dying mid-write.  Returns a restore callback; a
-        no-op off the main thread, where signals cannot be armed."""
-        if threading.current_thread() is not threading.main_thread():
-            return lambda: None
+    def _collect(self, key: tuple[str, str, str], returned) -> None:
+        """Keep one :func:`_pool_run` result from a pool worker."""
+        result, timing = returned
+        self._memory[key] = result
+        if timing is not None:
+            self.timings[key] = timing
+            # Keep this process's code-cache counts covering the
+            # builds its workers ran.
+            fastsim.code_cache_hits += timing.code_cache_hits
+            fastsim.code_cache_misses += timing.code_cache_misses
 
-        def _on_sigterm(signum, frame):
-            raise SystemExit(128 + signum)
+    def run_pending(self, points: list[tuple], jobs: int, run_here,
+                    worker, on_result) -> None:
+        """Compute *points* (each a key tuple, none yet in memory or
+        the store) with SIGTERM armed to raise.
 
+        With one job or one point they run here, one by one, through
+        ``run_here(*point)``.  Otherwise :func:`fan_out` calls
+        ``worker(*point, cache_dir, use_cache, fingerprint)`` in pool
+        processes (:func:`_worker_runner` reopens this runner's store
+        there) and hands each return value to
+        ``on_result(point, value)``.  Any interruption cancels the
+        points not yet started and propagates.
+        """
+        done = itertools.count(1)
+
+        def collect(point: tuple, value) -> None:
+            on_result(point, value)
+            self._progress(next(done), len(points), point)
+
+        restore_sigterm = _arm_sigterm()
         try:
-            previous = signal.signal(signal.SIGTERM, _on_sigterm)
-        except (ValueError, OSError):
-            return lambda: None
-        return lambda: signal.signal(signal.SIGTERM, previous)
+            if len(points) <= 1 or jobs == 1:
+                for point in points:
+                    run_here(*point)
+                    self._progress(next(done), len(points), point)
+            else:
+                fan_out(worker, points,
+                        (str(self.cache_dir), self.use_cache,
+                         self._fingerprint), jobs, collect)
+        finally:
+            restore_sigterm()
 
-    def _sweep_parallel(self, pending: list[tuple[str, str, str]],
-                        jobs: int) -> None:
-        workers = min(jobs, len(pending))
-        machine_json = config_to_json(self.machine_config) \
-            if self.machine_config is not None else None
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = {
-                pool.submit(_pool_run, benchmark, scheduler, config,
-                            str(self.cache_dir), self.use_cache,
-                            self._fingerprint, machine_json):
-                    (benchmark, scheduler, config)
-                for benchmark, scheduler, config in pending}
-            for done, future in enumerate(as_completed(futures), start=1):
-                benchmark, scheduler, config, result, timing = \
-                    future.result()
-                key = (benchmark, scheduler, config)
-                self._memory[key] = result
-                if timing is not None:
-                    self.timings[key] = timing
-                    # Keep this process's code-cache counts covering
-                    # the builds its workers ran.
-                    fastsim.code_cache_hits += timing.code_cache_hits
-                    fastsim.code_cache_misses += timing.code_cache_misses
-                self._progress(done, len(pending), key)
-        except BaseException:
-            # Interrupted (signal) or a worker died: drop the queued
-            # grid points and abandon the running ones; the caller
-            # writes the partial manifest from what did complete.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-
-    def _progress(self, done: int, total: int,
-                  key: tuple[str, str, str]) -> None:
+    def _progress(self, done: int, total: int, key: tuple) -> None:
         if not self.verbose:
             return
         timing = self.timings.get(key)
@@ -659,9 +669,8 @@ class ExperimentRunner:
             detail = (f" {timing.total_seconds:.2f}s"
                       f" ({timing.instructions_per_second / 1e3:.0f}k"
                       f" sim instr/s)")
-        benchmark, scheduler, config = key
-        print(f"  [{done}/{total}] {benchmark}/{scheduler}/{config}"
-              f"{detail}", file=sys.stderr)
+        print(f"  [{done}/{total}] {'/'.join(key)}{detail}",
+              file=sys.stderr)
 
     # ----------------------------------------------------------- manifest
     @property

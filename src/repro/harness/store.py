@@ -4,12 +4,10 @@ This extends the harness's original flat atomic cache (temp file +
 ``os.replace`` in one directory) into the store every sweep's workers
 share:
 
-* **Keys** carry everything that can change a result: benchmark,
-  scheduler, grid config, the package *fingerprint* (a hash of every
-  ``repro`` source file), a hash of the workload source, and a hash of
-  the :class:`~repro.machine.MachineConfig` the point was simulated
-  under.  A sweep therefore can never read a result computed under
-  other sources or a different machine.
+* **Keys** are benchmark, scheduler, grid config and the package
+  *fingerprint* (a hash of every ``repro`` source file, workload
+  programs and the machine model included), so a sweep can never read
+  a result computed under other sources.
 * **Sharding**: entries live in ``<root>/<dd>/`` where ``dd`` is the
   first byte (two hex digits) of the key digest — 256 directories, so
   heavy concurrent writers (grid workers, several sweeps sharing one
@@ -69,11 +67,6 @@ def atomic_write_json(path: Path, payload) -> None:
             pass
 
 
-def source_hash(source: str) -> str:
-    """Short digest of one workload's source text."""
-    return hashlib.sha256(source.encode()).hexdigest()[:12]
-
-
 @dataclass(frozen=True)
 class StoreKey:
     """Complete identity of one cached grid-point result."""
@@ -82,14 +75,11 @@ class StoreKey:
     scheduler: str
     config: str
     fingerprint: str      # package-source fingerprint
-    source_hash: str      # workload-source digest
-    machine_hash: str     # MachineConfig digest
 
     @property
     def digest(self) -> str:
         body = "\x00".join((self.benchmark, self.scheduler, self.config,
-                            self.fingerprint, self.source_hash,
-                            self.machine_hash))
+                            self.fingerprint))
         return hashlib.sha256(body.encode()).hexdigest()
 
     @property
@@ -100,8 +90,7 @@ class StoreKey:
     @property
     def filename(self) -> str:
         return (f"{self.benchmark}-{self.scheduler}-{self.config}-"
-                f"{self.fingerprint}-{self.source_hash}-"
-                f"{self.machine_hash}.json")
+                f"{self.fingerprint}.json")
 
 
 class ResultStore:

@@ -11,9 +11,6 @@ from .config import (
     ConfigError,
     MachineConfig,
     TlbConfig,
-    config_from_json,
-    config_hash,
-    config_to_json,
 )
 from .metrics import CacheStats, Metrics, MetricsInvariantError
 from .simulator import SimulationError, Simulator, simulate
@@ -23,7 +20,6 @@ __all__ = [
     "DEFAULT_CONFIG", "ELEMENT_BYTES", "ELEMENTS_PER_LINE",
     "INSTRUCTION_LATENCIES", "OP_LATENCY",
     "CacheLevelConfig", "ConfigError", "MachineConfig", "TlbConfig",
-    "config_from_json", "config_hash", "config_to_json",
     "CacheStats", "Metrics", "MetricsInvariantError",
     "SimulationError", "Simulator", "simulate",
 ]

@@ -10,9 +10,7 @@ main memory — the paper's stated maximum load latency).
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 #: Table 3 -- processor latencies (cycles until the result is available).
 INSTRUCTION_LATENCIES: dict[str, int] = {
@@ -278,49 +276,6 @@ class MachineConfig:
 
 
 DEFAULT_CONFIG = MachineConfig()
-
-
-# --------------------------------------------------------------- identity
-def config_to_json(config: MachineConfig) -> dict:
-    """Plain-JSON form of a machine description (nested dataclasses
-    become dicts).  Round-trips through :func:`config_from_json`."""
-    return asdict(config)
-
-
-def config_from_json(data: dict) -> MachineConfig:
-    """Rebuild a :class:`MachineConfig` from :func:`config_to_json`
-    output, or from a sparse dict of overrides on the default machine
-    (cache levels and TLBs may be given as dicts).  Unknown fields
-    raise ``TypeError`` so a typo in a request fails loudly."""
-    known = {f.name for f in fields(MachineConfig)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise TypeError(
-            f"unknown MachineConfig field(s): {', '.join(unknown)}")
-    kwargs = dict(data)
-    for name in ("l1d", "l1i", "l2", "l3"):
-        if isinstance(kwargs.get(name), dict):
-            kwargs[name] = CacheLevelConfig(**kwargs[name])
-    for name in ("dtlb", "itlb"):
-        if isinstance(kwargs.get(name), dict):
-            kwargs[name] = TlbConfig(**kwargs[name])
-    defaults = {f.name: getattr(DEFAULT_CONFIG, f.name)
-                for f in fields(MachineConfig) if f.name not in kwargs}
-    # op_latency is a fresh dict per instance; share the default values.
-    return MachineConfig(**defaults, **kwargs)
-
-
-def config_hash(config: MachineConfig) -> str:
-    """Stable short digest of a machine description.
-
-    Part of every result-cache key: a runner with a custom machine
-    must never read a result simulated under a different
-    :class:`MachineConfig`.  Canonical JSON with sorted keys,
-    so the digest is independent of dict insertion order and identical
-    across processes.
-    """
-    payload = json.dumps(config_to_json(config), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def simple_stochastic_config(hit_rate: float = 0.95,

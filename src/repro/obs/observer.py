@@ -107,12 +107,11 @@ class TracingObserver(Observer):
 
     enabled = True
 
-    def __init__(self, stalls: bool = True, provenance: bool = True,
+    def __init__(self,
                  clock: Callable[[], float] = time.perf_counter) -> None:
         super().__init__(clock)
         self.trace = TraceRecorder(clock)
-        self.provenance = ScheduleProvenance() if provenance else None
-        self._record_stalls = stalls
+        self.provenance = ScheduleProvenance()
         #: "bench/scheduler/config" -> profile, insertion-ordered.
         self.stall_profiles: dict[str, StallProfile] = {}
 
@@ -131,8 +130,6 @@ class TracingObserver(Observer):
     # ------------------------------------------------------------ stalls
     def stall_profile(self, benchmark: str, scheduler: str = "",
                       config: str = "") -> Optional[StallProfile]:
-        if not self._record_stalls:
-            return None
         key = "/".join(p for p in (benchmark, scheduler, config) if p)
         profile = self.stall_profiles.get(key)
         if profile is None:
@@ -148,7 +145,7 @@ class TracingObserver(Observer):
             out["stalls"] = {key: profile.to_json(top=top)
                              for key, profile in
                              self.stall_profiles.items()}
-        if self.provenance is not None and len(self.provenance):
+        if len(self.provenance):
             out["provenance"] = {
                 "loads": len(self.provenance),
                 "deviating_loads": len(

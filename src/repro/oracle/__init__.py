@@ -9,7 +9,7 @@ problems as exact constraint searches with *certified* outcomes:
 
 * :mod:`.solver` — a pure-python branch-and-bound decision engine
   (windows + bounds-consistency propagation over difference
-  constraints, resource reservation rows, honest node/time budgets);
+  constraints, resource reservation rows, honest node budgets);
 * :mod:`.block`  — acyclic block scheduling: provably minimal issue
   span, then provably minimal expected load-stall cycles under the
   paper's latency model;
@@ -40,10 +40,8 @@ from .gap import (
     DEFAULT_BUDGET,
     GAP_SCHEMA_VERSION,
     ORACLE_SCHEDULER,
-    OracleBudget,
     OracleRunner,
     analyze_point,
-    attach_oracle,
     oracle_summary,
 )
 from .modulo import LoopOracleResult, decide_ii, oracle_loop
@@ -64,7 +62,7 @@ __all__ = [
     "BlockOracleResult", "MAX_BLOCK_OPS", "greedy_issue_times",
     "oracle_block", "oracle_order", "schedule_cost", "stall_loads",
     "LoopOracleResult", "decide_ii", "oracle_loop",
-    "OracleBudget", "OracleRunner", "DEFAULT_BUDGET",
+    "OracleRunner", "DEFAULT_BUDGET",
     "GAP_SCHEMA_VERSION", "ORACLE_SCHEDULER",
-    "analyze_point", "attach_oracle", "oracle_summary",
+    "analyze_point", "oracle_summary",
 ]

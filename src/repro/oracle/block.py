@@ -247,7 +247,6 @@ def oracle_block(dag: Dag, config: MachineConfig,
 
     if budget is None:
         budget = Budget()
-    budget.start()
     start_nodes = budget.nodes
 
     # --- objective 1: makespan, binary search on the bound ----------

@@ -23,23 +23,17 @@ For one ``(benchmark, config)`` grid point this module
    (issue span + expected stall) for oracle/balanced/traditional, and
    achieved-II vs proven-optimal-II per loop.
 
-Results are deterministic for a fixed node budget (wall-clock caps are
-off by default) and cached in the digest-sharded
-:class:`~repro.harness.store.ResultStore` under scheduler ``"oracle"``
-with the budget folded into the config key — a different budget is a
-different result.  :class:`OracleRunner` mirrors
-:class:`~repro.harness.experiment.ExperimentRunner`: same cache
-layout, same fingerprint discipline, same ``--jobs`` process-pool
-fan-out.
+Results are deterministic for a fixed node budget and cached under
+scheduler ``"oracle"`` with the budget folded into the config key — a
+different budget is a different result.  :class:`OracleRunner` runs
+on an :class:`~repro.harness.experiment.ExperimentRunner`: its store,
+fingerprint, ``--jobs`` and pool loop (SIGTERM armed, queued points
+cancelled on any interruption) are the runner's.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
-from pathlib import Path
+import functools
 from typing import Optional
 
 from ..check.dependence import check_dependences, snapshot_dependences
@@ -51,19 +45,16 @@ from ..harness.compile import (
     lower_source,
     make_weight_model,
 )
-from ..harness.experiment import _package_fingerprint, options_for
-from ..harness.store import ResultStore, StoreKey, source_hash
+from ..harness.experiment import (
+    ExperimentRunner,
+    _worker_runner,
+    options_for,
+)
+from ..harness.store import StoreKey
 from ..ir.cfg import Cfg
 from ..ir.dag import build_dag
 from ..ir.liveness import liveness
 from ..ir.loops import find_loops
-from ..machine import (
-    DEFAULT_CONFIG,
-    MachineConfig,
-    config_from_json,
-    config_hash,
-    config_to_json,
-)
 from ..sched.block import schedule_cfg
 from ..sched.list_scheduler import list_schedule
 from ..sched.modulo.deps import analyze_deps, match_loop
@@ -93,36 +84,13 @@ ORACLE_SCHEDULER = "oracle"
 #: Loops above this size are not searched; mirrors the pipeline gate.
 MAX_LOOP_OPS = MAX_BODY_OPS
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Per-block / per-loop search budget.
-
-    ``max_seconds <= 0`` (the default) disables the wall-clock cap so
-    results are bit-stable run-to-run; the node cap alone is
-    deterministic.
-    """
-
-    max_nodes: int = 200_000
-    max_seconds: float = 0.0
-
-    def tag(self) -> str:
-        """Budget token for cache keys (the budget changes results)."""
-        tag = f"n{self.max_nodes}"
-        if self.max_seconds > 0:
-            tag += f"t{self.max_seconds:g}"
-        return tag
-
-    def fresh(self) -> Budget:
-        return Budget(max_nodes=self.max_nodes,
-                      max_seconds=self.max_seconds)
+#: Search nodes per block and per loop (``--oracle-budget``).  Node
+#: accounting is deterministic, so a fixed budget gives bit-stable
+#: results; ``n<nodes>`` tags payloads and store keys.
+DEFAULT_BUDGET = 200_000
 
 
-DEFAULT_BUDGET = OracleBudget()
-
-
-def _analyze_blocks(cfg: Cfg, options: Options,
-                    budget: OracleBudget) -> list:
+def _analyze_blocks(cfg: Cfg, options: Options, budget: int) -> list:
     """Run the block oracle on every multi-op block of *cfg*."""
     balanced = make_weight_model(
         Options(scheduler="balanced", locality=options.locality,
@@ -141,7 +109,7 @@ def _analyze_blocks(cfg: Cfg, options: Options,
         }
         results.append(oracle_block(
             dag, options.config, weights, seeds,
-            budget=budget.fresh(), label=label))
+            budget=Budget(max_nodes=budget), label=label))
     return results
 
 
@@ -174,7 +142,7 @@ def _validate_oracle_schedules(cfg: Cfg, results: list) -> None:
 
 
 def _analyze_loops(source: str, options: Options, name: str,
-                   budget: OracleBudget) -> list:
+                   budget: int) -> list:
     """Run the modulo oracle on every candidate loop.
 
     The candidate discovery replicates the software-pipelining driver:
@@ -204,7 +172,7 @@ def _analyze_loops(source: str, options: Options, name: str,
         deps = analyze_deps(shape.ops, options.config, model,
                             live_out=live_in[header] | live_into_exit)
         results.append(oracle_loop(deps, options.config,
-                                   budget=budget.fresh(),
+                                   budget=Budget(max_nodes=budget),
                                    label=header))
     return results
 
@@ -254,11 +222,10 @@ def _aggregate(blocks: list, loops: list, block_counts: dict) -> dict:
 
 
 def analyze_point(benchmark: str, config: str,
-                  machine: Optional[MachineConfig] = None,
-                  budget: OracleBudget = DEFAULT_BUDGET) -> dict:
+                  budget: int = DEFAULT_BUDGET) -> dict:
     """Full gap analysis of one grid point; deterministic payload."""
     workload = WORKLOADS[benchmark]
-    options = options_for("balanced", config, machine=machine)
+    options = options_for("balanced", config)
     cfg, _, _ = lower_source(workload.source, options, workload.name)
     block_counts = _collect_profile(cfg, options).block_counts
     blocks = _analyze_blocks(cfg, options, budget)
@@ -269,7 +236,7 @@ def analyze_point(benchmark: str, config: str,
         "schema": GAP_SCHEMA_VERSION,
         "benchmark": benchmark,
         "config": config,
-        "budget": budget.tag(),
+        "budget": f"n{budget}",
         "validated": True,
         "summary": _aggregate(blocks, loops, block_counts),
         "blocks": [b.to_json() for b in blocks],
@@ -280,116 +247,72 @@ def analyze_point(benchmark: str, config: str,
 
 def _oracle_pool_run(benchmark: str, config: str, cache_dir: str,
                      use_cache: bool, fingerprint: str,
-                     budget_nodes: int, budget_seconds: float,
-                     machine_json: Optional[dict] = None):
+                     budget: int) -> dict:
     """Worker entry point: one oracle point in a child process."""
-    machine = config_from_json(machine_json) if machine_json else None
-    runner = OracleRunner(
-        cache_dir=Path(cache_dir), fingerprint=fingerprint,
-        machine_config=machine,
-        budget=OracleBudget(budget_nodes, budget_seconds))
-    runner.use_cache = use_cache
-    return benchmark, config, runner.run(benchmark, config)
+    runner = _worker_runner(cache_dir, use_cache, fingerprint)
+    return OracleRunner(runner, budget).run(benchmark, config)
 
 
 class OracleRunner:
-    """Caches and fans out gap analyses like the experiment runner.
+    """Gap analyses on an experiment runner's store and pool.
 
-    Results share the experiment cache's :class:`ResultStore` (and its
-    key discipline) under the reserved scheduler name ``"oracle"``;
-    the search budget is folded into the config component of the key
-    because the budget changes what can be certified.
+    Payloads share the runner's
+    :class:`~repro.harness.store.ResultStore` under the reserved
+    scheduler name ``"oracle"``; the search budget is folded into the
+    config component of the key because the budget changes what can be
+    certified.
     """
 
-    def __init__(self, cache_dir: Optional[Path] = None,
-                 jobs: int = 1, verbose: bool = False,
-                 fingerprint: Optional[str] = None,
-                 machine_config: Optional[MachineConfig] = None,
-                 budget: OracleBudget = DEFAULT_BUDGET) -> None:
-        if cache_dir is None:
-            cache_dir = Path(
-                os.environ.get("REPRO_CACHE_DIR",
-                               Path.home() / ".cache" / "repro-pldi95"))
-        self.cache_dir = Path(cache_dir)
-        self.use_cache = os.environ.get("REPRO_NO_CACHE") != "1"
-        self.jobs = max(1, jobs)
-        self.verbose = verbose
+    def __init__(self, runner: ExperimentRunner,
+                 budget: int = DEFAULT_BUDGET) -> None:
+        self.runner = runner
         self.budget = budget
-        self.machine_config = machine_config
-        self._machine_hash = config_hash(machine_config
-                                         or DEFAULT_CONFIG)
-        self._store = ResultStore(self.cache_dir)
-        self._fingerprint = fingerprint or _package_fingerprint()
         self._memory: dict[tuple[str, str], dict] = {}
 
     def _store_key(self, benchmark: str, config: str) -> StoreKey:
-        workload = WORKLOADS[benchmark]
-        return StoreKey(
-            benchmark=benchmark, scheduler=ORACLE_SCHEDULER,
-            config=f"{config}@{self.budget.tag()}",
-            fingerprint=self._fingerprint,
-            source_hash=source_hash(workload.source),
-            machine_hash=self._machine_hash)
+        return self.runner.store_key(benchmark, ORACLE_SCHEDULER,
+                                     f"{config}@n{self.budget}")
+
+    def _load(self, key: tuple[str, str]) -> Optional[dict]:
+        payload = self.runner.load(self._store_key(*key))
+        if payload is None or payload.get("schema") != GAP_SCHEMA_VERSION:
+            return None
+        return payload
 
     def run(self, benchmark: str, config: str) -> dict:
         """Gap analysis for one point (cached)."""
         key = (benchmark, config)
-        if key in self._memory:
-            return self._memory[key]
-        store_key = self._store_key(benchmark, config)
-        payload = self._store.load(store_key) if self.use_cache else None
-        if payload is None or payload.get("schema") != GAP_SCHEMA_VERSION:
-            if self.verbose:
-                print(f"  oracle {benchmark} / {config}")
-            payload = analyze_point(benchmark, config,
-                                    machine=self.machine_config,
-                                    budget=self.budget)
-            if self.use_cache:
-                self._store.store(store_key, payload)
-        self._memory[key] = payload
-        return payload
+        if key not in self._memory:
+            payload = self._load(key)
+            if payload is None:
+                payload = analyze_point(benchmark, config, self.budget)
+                self.runner.save(self._store_key(*key), payload)
+            self._memory[key] = payload
+        return self._memory[key]
 
     def sweep(self, benchmarks: Optional[list] = None,
               configs: Optional[list] = None,
               jobs: Optional[int] = None) -> list:
-        """Gap analyses for a grid, parallel over a process pool."""
+        """Gap analyses for a grid, in grid order; the misses fan out
+        over the runner's pool."""
         grid = [(benchmark, config)
                 for benchmark in (benchmarks or list(WORKLOADS))
                 for config in (configs or ["base"])]
-        jobs = self.jobs if jobs is None else max(1, jobs)
         pending = []
         for key in dict.fromkeys(grid):
             if key in self._memory:
                 continue
-            if self.use_cache:
-                payload = self._store.load(self._store_key(*key))
-                if payload is not None and \
-                        payload.get("schema") == GAP_SCHEMA_VERSION:
-                    self._memory[key] = payload
-                    continue
-            pending.append(key)
-        if len(pending) <= 1 or jobs == 1:
-            for key in pending:
-                self.run(*key)
-        else:
-            self._sweep_parallel(pending, jobs)
+            payload = self._load(key)
+            if payload is None:
+                pending.append(key)
+            else:
+                self._memory[key] = payload
+        self.runner.run_pending(
+            pending, self.runner.jobs if jobs is None else max(1, jobs),
+            self.run,
+            functools.partial(_oracle_pool_run, budget=self.budget),
+            self._memory.__setitem__)
         return [self._memory[key] for key in grid]
-
-    def _sweep_parallel(self, pending: list, jobs: int) -> None:
-        machine_json = config_to_json(self.machine_config) \
-            if self.machine_config is not None else None
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending))) as pool:
-            futures = {
-                pool.submit(_oracle_pool_run, benchmark, config,
-                            str(self.cache_dir), self.use_cache,
-                            self._fingerprint, self.budget.max_nodes,
-                            self.budget.max_seconds, machine_json):
-                    (benchmark, config)
-                for benchmark, config in pending}
-            for future in as_completed(futures):
-                benchmark, config, payload = future.result()
-                self._memory[(benchmark, config)] = payload
 
 
 def oracle_summary(payloads: list) -> dict:
@@ -425,13 +348,3 @@ def oracle_summary(payloads: list) -> dict:
         "points": dict(sorted(points.items())),
         "totals": totals,
     }
-
-
-def attach_oracle(manifest_path: Path, summary: dict) -> None:
-    """Atomically rewrite a run manifest with the ``oracle`` section."""
-    from ..harness.store import atomic_write_json
-
-    path = Path(manifest_path)
-    data = json.loads(path.read_text())
-    data["oracle"] = summary
-    atomic_write_json(path, data)

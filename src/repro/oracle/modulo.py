@@ -206,7 +206,6 @@ def oracle_loop(deps: LoopDeps, config: MachineConfig,
     """
     if budget is None:
         budget = Budget()
-    budget.start()
     start_nodes = budget.nodes
     res, rec, mii = compute_mii(deps, config)
     heur = heuristic_ii(deps, config, mii)

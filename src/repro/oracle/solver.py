@@ -20,7 +20,7 @@ bound, so this module only ever answers SAT / UNSAT / UNKNOWN:
 * ``SAT`` comes with a witness assignment,
 * ``UNSAT`` is a *certificate*: the search space was exhausted (the
   engine is complete over the supplied windows),
-* ``UNKNOWN`` means the node or time budget ran out first — callers must
+* ``UNKNOWN`` means the node budget ran out first — callers must
   surface this as honest ``bailed`` accounting, never as a bound.
 
 The engine is a classic DFS with bounds-consistency propagation:
@@ -33,8 +33,7 @@ values are tried in increasing cycle order.  No external dependencies.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 SAT = "sat"
@@ -48,32 +47,19 @@ class BudgetExhausted(Exception):
 
 @dataclass
 class Budget:
-    """Node/time cap shared across every decision for one block or loop.
+    """Node cap shared across every decision for one block or loop.
 
-    ``max_seconds <= 0`` disables the wall-clock cap, which keeps runs
-    bit-stable (node accounting is deterministic; wall time is not).
+    Node accounting is deterministic, so a fixed cap gives bit-stable
+    results run to run.
     """
 
     max_nodes: int = 200_000
-    max_seconds: float = 0.0
     nodes: int = 0
     exhausted: bool = False
-    _deadline: Optional[float] = field(default=None, repr=False)
-
-    def start(self) -> None:
-        if self.max_seconds > 0 and self._deadline is None:
-            self._deadline = time.monotonic() + self.max_seconds
 
     def charge(self, amount: int = 1) -> None:
         self.nodes += amount
         if self.nodes > self.max_nodes:
-            self.exhausted = True
-            raise BudgetExhausted()
-        if (
-            self._deadline is not None
-            and self.nodes % 512 == 0
-            and time.monotonic() > self._deadline
-        ):
             self.exhausted = True
             raise BudgetExhausted()
 
@@ -317,7 +303,6 @@ def solve_decision(
                 raise ValueError("acyclic problem with loop-carried arc")
     elif problem.ii <= 0:
         raise ValueError(f"ii must be positive, got {problem.ii}")
-    budget.start()
     start_nodes = budget.nodes
     search = _Search(problem, list(lo), list(hi), budget, stall)
     try:

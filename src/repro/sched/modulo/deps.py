@@ -30,9 +30,8 @@ model falls back to the old blanket distance-1 arc.  Every sharpened
 kernel is re-validated end-to-end: :func:`repro.codegen.verify
 .verify_pipelined_kernels` re-runs the same analyzer *independently*
 over the recorded body and replays the doubled kernel stream against
-its verdicts, so a bug here (or a deliberately weakened analyzer — see
-``REPRO_WEAKEN_DEPS``) surfaces as a hard verification error, not a
-silent miscompile.
+its verdicts, so a bug here (one that weakens a carried distance, say)
+surfaces as a hard verification error, not a silent miscompile.
 
 Latencies come from the active weight model, so balanced weights give
 loads their parallelism-derived target latency and the modulo schedule
@@ -43,7 +42,6 @@ separates loads from their uses across pipeline stages -- this is how
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -306,7 +304,6 @@ def analyze_deps(ops: list[Instruction], config: MachineConfig,
     # virtual-time order), unknown -> the old blanket distance-1 arc.
     # Intra-iteration (distance 0) ordering stays build_dag's job.
     body_deps = analyze_loop_body(ops)
-    weaken = weaken_distances()
     dropped = exact = conservative = 0
     mem_ops = [pos for pos, ins in enumerate(ops) if ins.is_mem]
     for a in mem_ops:
@@ -324,8 +321,6 @@ def analyze_deps(ops: list[Instruction], config: MachineConfig,
                 exact += 1
             else:
                 conservative += 1
-            if weaken:
-                distance += 1        # deliberately unsound (see below)
             edges.append(DepEdge(a, b, MEM, 1, distance))
 
     return LoopDeps(ops=ops, edges=edges, latency=latency,
@@ -333,15 +328,3 @@ def analyze_deps(ops: list[Instruction], config: MachineConfig,
                     defs_of=defs_of, body_deps=body_deps,
                     mem_dropped=dropped, mem_exact=exact,
                     mem_conservative=conservative)
-
-
-def weaken_distances() -> bool:
-    """True when ``REPRO_WEAKEN_DEPS`` asks for *deliberately wrong*
-    carried-memory distances (every arc one iteration too loose).
-
-    This is the CI must-fail knob: it proves the kernel verifier's
-    independent replay actually polices the scheduler's arcs.  A
-    weakened recurrence distance admits a tighter II than the real
-    dependence allows, and the doubled-kernel replay must reject the
-    resulting stream."""
-    return os.environ.get("REPRO_WEAKEN_DEPS", "") not in ("", "0")

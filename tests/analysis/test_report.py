@@ -8,11 +8,11 @@ from repro.analysis import (
     ANALYSIS_SCHEMA_VERSION,
     analysis_summary,
     analyze_program,
-    attach_analysis,
     format_report,
 )
 from repro.check import NOTE, WARNING, lint_loop_analysis
 from repro.harness.compile import Options, compile_source
+from repro.harness.experiment import attach_section
 from repro.ir import BasicBlock, Cfg
 from repro.isa import Instruction, Reg
 from repro.machine import DEFAULT_CONFIG
@@ -105,7 +105,7 @@ def test_attach_analysis_roundtrip(tmp_path):
     manifest.write_text(json.dumps({"version": 6, "runs": []}))
     summary = analysis_summary([analyze_program(TRIAD, Options(),
                                                 "triad")])
-    attach_analysis(manifest, summary)
+    attach_section(manifest, "analysis", summary)
     data = json.loads(manifest.read_text())
     assert data["runs"] == []
     assert data["analysis"]["points"]["triad/balanced"]["loops"] == 3

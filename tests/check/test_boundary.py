@@ -90,7 +90,7 @@ def test_null_validator_hooks_are_noops():
     NULL_VALIDATOR.before_schedule(None)
     NULL_VALIDATOR.after_schedule(None, "x", "block")
     NULL_VALIDATOR.before_swp(None)
-    NULL_VALIDATOR.after_swp(None, [])
+    NULL_VALIDATOR.after_swp(None)
     NULL_VALIDATOR.before_regalloc(None)
     NULL_VALIDATOR.after_regalloc(None, None)
     assert not NULL_VALIDATOR.enabled

@@ -5,14 +5,17 @@ Each test monkeypatches one pipeline pass (in the
 resolves them) into a deliberately buggy version, compiles a real
 program with validation enabled, and asserts the compile dies with a
 :class:`~repro.check.CheckError` whose diagnostics name the seeded
-bug's rule.  A validator none of these bugs can trip would be dead
-weight; this file is the proof each one pays its way.
+bug's rule (M5: with the inline kernel replay's
+:class:`~repro.codegen.verify.VerificationError`).  A validator none
+of these bugs can trip would be dead weight; this file is the proof
+each one pays its way.
 """
 
 import pytest
 
 import repro.harness.compile as hc
 from repro.check import CheckError, PipelineValidator
+from repro.codegen.verify import VerificationError
 from repro.harness.compile import Options
 from repro.isa import ZERO, Instruction, ireg
 
@@ -155,12 +158,10 @@ def test_corrupt_pipelined_kernel_is_caught(monkeypatch):
         return stats
 
     monkeypatch.setattr(hc, "pipeline_loops", corrupt)
-    # Disarm the inline VerificationError so the seeded bug reaches the
-    # validator boundary (the thing under test here).
-    monkeypatch.setattr(hc, "verify_pipelined_kernels",
-                        lambda cfg, kernels: None)
-    assert_caught("kernel-dependence", source=DAXPY,
-                  options=Options(swp=True))
+    # compile_source replays every doubled kernel right after the
+    # pipeliner, before any validator boundary.
+    with pytest.raises(VerificationError):
+        compile_checked(DAXPY, Options(swp=True))
 
 
 # M6: a transform creates a second entry into a loop body, making the

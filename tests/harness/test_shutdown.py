@@ -30,11 +30,11 @@ _KILL_ENV = "REPRO_TEST_KILL_BENCH"
 
 
 def _pool_run_killing_self(benchmark, scheduler, config, cache_dir,
-                           use_cache, fingerprint, machine_json=None):
+                           use_cache, fingerprint):
     if benchmark == os.environ.get(_KILL_ENV):
         os.kill(os.getpid(), signal.SIGKILL)
     return _pool_run(benchmark, scheduler, config, cache_dir,
-                     use_cache, fingerprint, machine_json)
+                     use_cache, fingerprint)
 
 
 class TestSerialInterrupt:

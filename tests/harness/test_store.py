@@ -1,5 +1,4 @@
-"""Sharded result store: layout, atomicity, orphan reaping, and
-machine-config-aware cache keys."""
+"""Sharded result store: layout, atomicity and orphan reaping."""
 
 from __future__ import annotations
 
@@ -11,19 +10,12 @@ import time
 import pytest
 
 from repro.harness.experiment import ExperimentRunner, load_manifest
-from repro.harness.store import (
-    ResultStore,
-    StoreKey,
-    atomic_write_json,
-    source_hash,
-)
-from repro.machine import DEFAULT_CONFIG, config_hash
+from repro.harness.store import ResultStore, StoreKey, atomic_write_json
 
 
 def _key(**overrides) -> StoreKey:
     base = dict(benchmark="ora", scheduler="balanced", config="base",
-                fingerprint="f" * 16, source_hash="s" * 12,
-                machine_hash="m" * 12)
+                fingerprint="f" * 16)
     base.update(overrides)
     return StoreKey(**base)
 
@@ -117,49 +109,3 @@ class TestReaping:
         runner.sweep(benchmarks=["ora"], schedulers=("balanced",),
                      configs=["base"])
         assert load_manifest(runner.manifest_path).orphans_reaped == 1
-
-
-class TestMachineConfigKeys:
-    def test_default_machine_hash_in_key(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        runner = ExperimentRunner(cache_dir=tmp_path)
-        runner.run("ora", "balanced", "base")
-        (entry,) = (p for p in tmp_path.rglob("*.json")
-                    if p.name != "run-manifest.json")
-        assert config_hash(DEFAULT_CONFIG) in entry.name
-
-    def test_custom_machine_gets_its_own_entry(self, tmp_path,
-                                               monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        wide = dataclasses.replace(DEFAULT_CONFIG, issue_width=2)
-        default = ExperimentRunner(cache_dir=tmp_path)
-        dual = ExperimentRunner(cache_dir=tmp_path, machine_config=wide)
-        base = default.run("ora", "balanced", "base")
-        wide_result = dual.run("ora", "balanced", "base")
-        entries = [p for p in tmp_path.rglob("*.json")
-                   if p.name != "run-manifest.json"]
-        assert len(entries) == 2
-        # Dual issue must not be served the single-issue result.
-        assert wide_result.total_cycles < base.total_cycles
-
-    def test_custom_machine_survives_parallel_sweep(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        wide = dataclasses.replace(DEFAULT_CONFIG, issue_width=2)
-        parallel = ExperimentRunner(cache_dir=tmp_path / "par",
-                                    machine_config=wide)
-        serial = ExperimentRunner(cache_dir=tmp_path / "ser",
-                                  machine_config=wide)
-        got = parallel.sweep(benchmarks=["ora"],
-                             schedulers=("balanced",),
-                             configs=["base", "lu4"], jobs=2)
-        expected = serial.sweep(benchmarks=["ora"],
-                                schedulers=("balanced",),
-                                configs=["base", "lu4"], jobs=1)
-        assert got == expected
-
-
-def test_source_hash_is_stable_and_short():
-    assert source_hash("abc") == source_hash("abc")
-    assert source_hash("abc") != source_hash("abd")
-    assert len(source_hash("abc")) == 12

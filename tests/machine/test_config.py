@@ -11,7 +11,6 @@ from repro.machine import (
     OP_LATENCY,
     CacheLevelConfig,
     ConfigError,
-    MachineConfig,
     Simulator,
     TlbConfig,
 )
@@ -174,58 +173,6 @@ class TestValidate:
         config = replace(simple_stochastic_config(),
                          l1i=CacheLevelConfig("L1I", 8192, 1, 32, 15))
         config.validate()
-
-
-class TestConfigIdentity:
-    """JSON round-trip + stable hashing (the result store's machine
-    key, and how a custom machine travels to sweep workers)."""
-
-    def test_roundtrip_default(self):
-        from repro.machine import config_from_json, config_to_json
-        assert config_from_json(config_to_json(DEFAULT_CONFIG)) == \
-            DEFAULT_CONFIG
-
-    def test_roundtrip_stochastic_model(self):
-        from repro.machine import config_from_json, config_to_json
-        config = simple_stochastic_config()
-        assert config_from_json(config_to_json(config)) == config
-
-    def test_sparse_overrides_on_default(self):
-        from repro.machine import config_from_json
-        config = config_from_json({"issue_width": 2,
-                                   "memory_latency": 80})
-        assert config.issue_width == 2
-        assert config.memory_latency == 80
-        assert config.l1d == DEFAULT_CONFIG.l1d
-
-    def test_nested_levels_accepted_as_dicts(self):
-        from dataclasses import asdict
-        from repro.machine import config_from_json
-        l1d = dict(asdict(DEFAULT_CONFIG.l1d), latency=3)
-        config = config_from_json({"l1d": l1d})
-        assert config.l1d.latency == 3
-        assert config.l1d.name == "L1D"
-
-    def test_unknown_field_rejected(self):
-        from repro.machine import config_from_json
-        with pytest.raises(TypeError, match="isue_width"):
-            config_from_json({"isue_width": 2})
-
-    def test_hash_stable_and_sensitive(self):
-        from repro.machine import config_hash
-        assert config_hash(DEFAULT_CONFIG) == config_hash(MachineConfig())
-        wide = replace(DEFAULT_CONFIG, issue_width=2)
-        assert config_hash(wide) != config_hash(DEFAULT_CONFIG)
-        assert len(config_hash(DEFAULT_CONFIG)) == 12
-
-    def test_hash_ignores_dict_insertion_order(self):
-        from repro.machine import config_hash
-        a = replace(DEFAULT_CONFIG,
-                    op_latency=dict(DEFAULT_CONFIG.op_latency))
-        reordered = dict(reversed(list(
-            DEFAULT_CONFIG.op_latency.items())))
-        b = replace(DEFAULT_CONFIG, op_latency=reordered)
-        assert config_hash(a) == config_hash(b)
 
 
 class TestRegisterFileDerivation:

@@ -3,21 +3,25 @@
 Every dropped or distance-sharpened arc must be validated end to end:
 the pipelined binary has to produce the same data memory as the
 unpipelined one, and the doubled-kernel verifier must reject a
-deliberately weakened analyzer (``REPRO_WEAKEN_DEPS``)."""
+deliberately weakened analyzer (one that reports every carried
+distance one iteration too far)."""
 
 import pytest
 
+from repro.analysis.deps import DepVerdict
 from repro.codegen.verify import VerificationError
 from repro.harness.compile import Options, compile_source, \
     make_weight_model
+from repro.harness.experiment import SCHEDULERS, options_for
 from repro.isa import Reg
 from repro.machine import DEFAULT_CONFIG, Simulator
-from repro.sched.modulo.deps import analyze_deps, weaken_distances
+from repro.sched.modulo.deps import analyze_deps
 from repro.sched.modulo.kernel import Mve, plan_mve
 from repro.sched.modulo.mii import compute_mii
 from repro.sched.modulo.pipeline import MAX_STAGES, MAX_UNROLL
 from repro.sched.modulo.scheduler import modulo_schedule
 from repro.sched.modulo.stats import REASON_PRESSURE
+from repro.workloads import WORKLOADS
 
 from .test_modulo import DAXPY, _loop_shapes
 
@@ -67,24 +71,45 @@ def test_recurrence_keeps_exact_carried_arc():
 
 
 # ------------------------------------------------- weakened-analyzer net
-def test_weaken_distances_env_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_WEAKEN_DEPS", raising=False)
-    assert not weaken_distances()
-    monkeypatch.setenv("REPRO_WEAKEN_DEPS", "0")
-    assert not weaken_distances()
-    monkeypatch.setenv("REPRO_WEAKEN_DEPS", "1")
-    assert weaken_distances()
+def _weaken_carried_distances(monkeypatch):
+    """Make the analyzer report every carried memory distance one
+    iteration too far.  The kernel verifier asks ``conflicts_at``, not
+    ``carried_distance``, so its replay stays independent of the
+    patch."""
+    real = DepVerdict.carried_distance
+
+    def weakened(verdict):
+        distance = real(verdict)
+        return None if distance is None else distance + 1
+
+    monkeypatch.setattr(DepVerdict, "carried_distance", weakened)
+
+
+def _ear_swp(scheduler):
+    return compile_source(WORKLOADS["ear"].source,
+                          options_for(scheduler, "swp"), "ear")
 
 
 def test_weakened_recurrence_distance_is_caught(monkeypatch):
-    monkeypatch.setenv("REPRO_WEAKEN_DEPS", "1")
+    _weaken_carried_distances(monkeypatch)
     with pytest.raises(VerificationError):
         compile_source(RECURRENCE, Options(swp=True), "t")
 
 
-def test_weaken_flag_off_string_compiles_clean(monkeypatch):
-    monkeypatch.setenv("REPRO_WEAKEN_DEPS", "0")
+def test_weakened_distances_fail_ear_swp(monkeypatch):
+    """A grid point, not a toy: ``ear`` at ``swp`` fails kernel
+    verification under both schedulers."""
+    _weaken_carried_distances(monkeypatch)
+    for scheduler in SCHEDULERS:
+        with pytest.raises(VerificationError):
+            _ear_swp(scheduler)
+
+
+def test_unweakened_compiles_clean():
+    """Control: the same compiles pass when nothing is weakened."""
     compile_source(RECURRENCE, Options(swp=True), "t")
+    for scheduler in SCHEDULERS:
+        _ear_swp(scheduler)
 
 
 # ------------------------------------- MVE pressure counts live-through

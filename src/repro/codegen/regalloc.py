@@ -17,7 +17,9 @@ leaving 28 allocatable integer and 29 allocatable FP registers.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..ir import Cfg, liveness
 from ..isa import Instruction, MemRef, Reg, SP
@@ -32,6 +34,7 @@ N_ALLOCATABLE = {"i": 28, "f": 29}
 SPILL_SCRATCH = {"i": (Reg("i", 28), Reg("i", 29)),
                  "f": (Reg("f", 29), Reg("f", 30))}
 _SCRATCH = SPILL_SCRATCH
+_interval_end = itemgetter(0)
 
 
 @dataclass
@@ -91,29 +94,27 @@ class RegisterAllocator:
         for vreg in order:
             start, end = intervals[vreg]
             kind = vreg.kind
-            # Expire finished intervals.
+            # Expire finished intervals: *bank* is sorted by end, and an
+            # interval goes after those with an equal end.
             bank = active[kind]
-            keep = []
-            for item_end, item in bank:
-                if item_end < start:
-                    free[kind].append(assignment[item])
-                else:
-                    keep.append((item_end, item))
-            active[kind] = keep
+            expired = 0
+            while expired < len(bank) and bank[expired][0] < start:
+                free[kind].append(assignment[bank[expired][1]])
+                expired += 1
+            del bank[:expired]
             if free[kind]:
                 assignment[vreg] = free[kind].pop()
-                active[kind].append((end, vreg))
-                active[kind].sort(key=lambda item: item[0])
+                insort(bank, (end, vreg), key=_interval_end)
                 continue
             # Spill the interval ending furthest away.
-            furthest_end, furthest = active[kind][-1]
+            furthest_end, furthest = bank[-1]
             if furthest_end > end:
                 # Steal its register, spill the long-lived value.
                 assignment[vreg] = assignment.pop(furthest)
                 spilled[furthest] = slots
                 slots += 1
-                active[kind][-1] = (end, vreg)
-                active[kind].sort(key=lambda item: item[0])
+                bank.pop()
+                insort(bank, (end, vreg), key=_interval_end)
             else:
                 spilled[vreg] = slots
                 slots += 1

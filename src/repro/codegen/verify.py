@@ -40,35 +40,35 @@ def verify_program(program: MachineProgram,
         raise VerificationError("empty program")
 
     for index, instr in enumerate(instructions):
-        where = f"at {index}: {instr.format()}"
-
         for reg in instr.defs():
             if not allow_virtual and reg.virtual:
                 raise VerificationError(
-                    f"virtual register {reg} written {where}")
+                    f"virtual register {reg} written {_at(index, instr)}")
             if not reg.virtual and reg.num == 31:
                 raise VerificationError(
-                    f"write to hardwired zero register {where}")
+                    f"write to hardwired zero register {_at(index, instr)}")
             if not reg.virtual and reg.kind == "i" and reg.num == 30:
                 raise VerificationError(
-                    f"write to the stack pointer {where}")
+                    f"write to the stack pointer {_at(index, instr)}")
             if (not reg.virtual and not instr.is_spill
                     and _is_scratch(reg)
                     and not _scratch_consumer_nearby(instructions, index)):
                 raise VerificationError(
                     f"scratch register {reg} written outside spill "
-                    f"code {where}")
-        for reg in instr.uses():
-            if not allow_virtual and reg.virtual:
-                raise VerificationError(
-                    f"virtual register {reg} read {where}")
+                    f"code {_at(index, instr)}")
+        if not allow_virtual:
+            for reg in instr.uses():
+                if reg.virtual:
+                    raise VerificationError(
+                        f"virtual register {reg} read {_at(index, instr)}")
 
         if instr.is_mem:
             if instr.mem is None:
-                raise VerificationError(f"memory op without MemRef {where}")
+                raise VerificationError(
+                    f"memory op without MemRef {_at(index, instr)}")
             if instr.mem.region == "stack" and not instr.is_spill:
                 raise VerificationError(
-                    f"stack access not marked as spill {where}")
+                    f"stack access not marked as spill {_at(index, instr)}")
 
     last = instructions[-1]
     if last.op not in ("HALT", "BR"):
@@ -79,6 +79,11 @@ def verify_program(program: MachineProgram,
 
     if not any(i.op == "HALT" for i in instructions):
         raise VerificationError("program has no HALT")
+
+
+def _at(index: int, instr) -> str:
+    """Where a violation is, for its message: built only on a raise."""
+    return f"at {index}: {instr.format()}"
 
 
 def verify_pipelined_kernels(cfg, kernels) -> None:
@@ -118,8 +123,6 @@ def _verify_kernel_stream(instrs, info) -> None:
     mem_seen: list = []     # ((iteration, body position), Instruction)
     for copy in range(2):
         for instr in instrs:
-            where = (f"kernel {info.kernel_label}, copy {copy}: "
-                     f"{instr.format()}")
             for reg in instr.uses():
                 expected = info.expected_writer.get((instr.uid, str(reg)))
                 if expected is None:
@@ -128,7 +131,8 @@ def _verify_kernel_stream(instrs, info) -> None:
                 if actual is not None and actual != expected:
                     raise VerificationError(
                         f"cross-iteration register dependence broken: "
-                        f"{reg} written by unexpected instance {where}")
+                        f"{reg} written by unexpected instance "
+                        f"{_in_kernel(info, copy, instr)}")
             tag = info.mem_tags.get(instr.uid)
             if tag is not None:
                 key = (tag[0] + copy * info.unroll, tag[1])
@@ -142,10 +146,15 @@ def _verify_kernel_stream(instrs, info) -> None:
                         raise VerificationError(
                             f"cross-iteration memory dependence broken: "
                             f"conflicts with later iteration's "
-                            f"{other.format()} {where}")
+                            f"{other.format()} "
+                            f"{_in_kernel(info, copy, instr)}")
                 mem_seen.append((key, instr))
             for reg in instr.defs():
                 last_writer[reg] = instr.uid
+
+
+def _in_kernel(info, copy: int, instr) -> str:
+    return f"kernel {info.kernel_label}, copy {copy}: {instr.format()}"
 
 
 def _kernel_mem_conflict(earlier, earlier_key, later, later_key,

@@ -9,6 +9,9 @@ from __future__ import annotations
 from .errors import LexError, SourceLocation
 from .tokens import EOF_KIND, KEYWORDS, OPERATORS, Token
 
+_PAIRS = frozenset(op for op in OPERATORS if len(op) == 2)
+_SINGLES = frozenset(op for op in OPERATORS if len(op) == 1)
+
 
 def tokenize(source: str) -> list[Token]:
     """Convert *source* into a token list ending with an EOF token."""
@@ -76,13 +79,13 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(op, op, op, start_loc))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", start_loc)
+        op = source[i:i + 2]
+        if op not in _PAIRS:
+            if ch not in _SINGLES:
+                raise LexError(f"unexpected character {ch!r}", start_loc)
+            op = ch
+        tokens.append(Token(op, op, op, start_loc))
+        i += len(op)
+        col += len(op)
     tokens.append(Token(EOF_KIND, "", None, loc()))
     return tokens

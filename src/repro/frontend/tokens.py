@@ -11,7 +11,8 @@ KEYWORDS = frozenset({
     "int", "float",
 })
 
-# Multi-character operators must precede their prefixes.
+# Every operator is one or two characters long: the lexer looks up the
+# next two characters, then the next one, so the longest match wins.
 OPERATORS = (
     "==", "!=", "<=", ">=", "&&", "||",
     "+", "-", "*", "/", "%", "<", ">", "=", "!",

@@ -545,7 +545,8 @@ class ExperimentRunner:
                 cached=True, simulated_instructions=result.instructions)
         else:
             if self.verbose:
-                print(f"  running {benchmark} / {scheduler} / {config}")
+                print(f"  running {benchmark} / {scheduler} / {config}",
+                      file=sys.stderr)
             result, timing = _execute_grid_point(
                 WORKLOADS[benchmark], scheduler, config,
                 observer=self.observer)

@@ -109,17 +109,6 @@ class ResultStore:
     def path_for(self, key: StoreKey) -> Path:
         return self.root / key.shard / key.filename
 
-    def shards(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(p for p in self.root.iterdir()
-                      if p.is_dir() and len(p.name) == 2)
-
-    def entries(self) -> list[Path]:
-        """Every published entry across all shards."""
-        return sorted(p for shard in self.shards()
-                      for p in shard.glob("*.json"))
-
     # ------------------------------------------------------------- i/o
     def load(self, key: StoreKey) -> Optional[dict]:
         """The payload for *key*, or None.  Torn or unreadable entries

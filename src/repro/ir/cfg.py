@@ -121,9 +121,8 @@ class Cfg:
         if set(self.order) != set(self.blocks):
             raise ValueError("layout order out of sync with block map")
         for block in self:
-            for index, instr in enumerate(block.instrs):
-                is_last = index == len(block.instrs) - 1
-                if (instr.is_branch or instr.op == "HALT") and not is_last:
+            for instr in block.instrs[:-1]:
+                if instr.is_branch or instr.op == "HALT":
                     raise ValueError(
                         f"{block.label}: control transfer {instr.format()} "
                         "not at block end")

@@ -96,10 +96,16 @@ class Instruction:
     * branches: ``label`` is the target; conditional branches test
       ``srcs[0]`` against zero;
     * CMOV family: ``dest`` is read as well as written.
+
+    ``dest`` and ``srcs`` are never reassigned after construction: the
+    register operands :meth:`uses` and :meth:`defs` return are derived
+    from them once, here, because every dataflow walk asks for them.
+    Rewrite an instruction with :meth:`copy`.
     """
 
     __slots__ = ("op", "info", "dest", "srcs", "imm", "offset", "label",
-                 "mem", "locality", "group", "is_spill", "uid", "comment")
+                 "mem", "locality", "group", "is_spill", "uid", "comment",
+                 "_uses", "_defs")
 
     def __init__(self, op: str, dest: Optional[Reg] = None,
                  srcs: Iterable[Reg] = (), imm=None, offset: int = 0,
@@ -121,6 +127,9 @@ class Instruction:
         self.uid = next(_instr_ids)
         self.comment = comment
         self._validate()
+        regs = self.srcs + (dest,) if self.info.reads_dest else self.srcs
+        self._uses = tuple([reg for reg in regs if not reg.is_zero])
+        self._defs = () if dest is None or dest.is_zero else (dest,)
 
     def _validate(self) -> None:
         info = self.info
@@ -161,16 +170,11 @@ class Instruction:
 
     def uses(self) -> tuple[Reg, ...]:
         """Registers read by this instruction (zero registers excluded)."""
-        regs = self.srcs
-        if self.info.reads_dest and self.dest is not None:
-            regs = regs + (self.dest,)
-        return tuple(r for r in regs if not r.is_zero)
+        return self._uses
 
     def defs(self) -> tuple[Reg, ...]:
         """Registers written by this instruction (writes to r31 discarded)."""
-        if self.dest is None or self.dest.is_zero:
-            return ()
-        return (self.dest,)
+        return self._defs
 
     def copy(self, **overrides) -> "Instruction":
         """A fresh instruction (new uid) with selected fields replaced."""

@@ -20,10 +20,11 @@ class Reg:
     """A register operand: integer/fp, virtual/physical.
 
     Registers are interned, so identity comparison works and creating
-    the same register twice is cheap.
+    the same register twice is cheap.  ``is_zero`` (physical r31/f31)
+    is fixed when the register is interned: every operand walk asks it.
     """
 
-    __slots__ = ("kind", "num", "virtual")
+    __slots__ = ("kind", "num", "virtual", "is_zero")
     _pool: dict[tuple[str, int, bool], "Reg"] = {}
 
     def __new__(cls, kind: str, num: int, virtual: bool = False) -> "Reg":
@@ -38,16 +39,13 @@ class Reg:
             reg.kind = kind
             reg.num = num
             reg.virtual = virtual
+            reg.is_zero = not virtual and num == ZERO_REG_NUM
             cls._pool[key] = reg
         return reg
 
     @property
     def is_fp(self) -> bool:
         return self.kind == "f"
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.virtual and self.num == ZERO_REG_NUM
 
     def __repr__(self) -> str:
         prefix = "v" if self.virtual else ""

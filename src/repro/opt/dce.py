@@ -19,18 +19,27 @@ def _has_side_effect(instr: Instruction) -> bool:
 
 
 def eliminate_dead_code(cfg: Cfg) -> int:
-    """Delete dead instructions; return how many were removed in total."""
+    """Delete dead instructions; return how many were removed in total.
+
+    One backward sweep leaves a block with nothing dead under the
+    live-out set it was swept with, so a later round sweeps only the
+    blocks whose live-out set has changed since."""
     removed_total = 0
+    swept_with: dict[str, set] = {}
     while True:
         _, live_out = liveness(cfg)
         removed = 0
         for block in cfg:
-            live = set(live_out[block.label])
+            live = live_out[block.label]
+            if swept_with.get(block.label) == live:
+                continue
+            swept_with[block.label] = live
+            live = set(live)
             keep_reversed: list[Instruction] = []
             for instr in reversed(block.instrs):
                 defs = instr.defs()
-                if (defs and not _has_side_effect(instr)
-                        and all(reg not in live for reg in defs)):
+                if (defs and all(reg not in live for reg in defs)
+                        and not _has_side_effect(instr)):
                     removed += 1
                     continue
                 keep_reversed.append(instr)

@@ -54,10 +54,23 @@ def list_schedule_with_weights(
     if n == 0:
         return []
     prio = priorities(dag, weights)
+    instrs = dag.instrs
+    preds = dag.preds
+    succs = dag.succs
 
-    unscheduled_preds = [len(dag.preds[i]) for i in range(n)]
-    pressure_delta = [len(ins.uses()) - len(ins.defs())
-                      for ins in dag.instrs]
+    unscheduled_preds = [len(preds[i]) for i in range(n)]
+    pressure_delta = [len(ins.uses()) - len(ins.defs()) for ins in instrs]
+    # Exposure: how many successors wait on this node alone.  A
+    # successor's count of unscheduled predecessors only falls, so each
+    # one is credited to its last predecessor once, when it drops to 1.
+    exposed = [0] * n
+    for node in range(n):
+        if unscheduled_preds[node] == 1:
+            exposed[next(iter(preds[node]))] += 1
+    scheduled = [False] * n
+    # The distinct registers each node reads: a value read twice by one
+    # instruction (``FMUL d, x, x``) dies once, when that node issues.
+    reads = [tuple(dict.fromkeys(ins.uses())) for ins in instrs]
     ready = [i for i in range(n) if unscheduled_preds[i] == 0]
     order: list[int] = []
 
@@ -65,8 +78,8 @@ def list_schedule_with_weights(
     # defines it until its last in-block consumer is scheduled.
     remaining_uses: dict = {}
     defined = set()
-    for ins in dag.instrs:
-        for reg in ins.uses():
+    for node, ins in enumerate(instrs):
+        for reg in reads[node]:
             remaining_uses[reg] = remaining_uses.get(reg, 0) + 1
         defined.update(ins.defs())
     live = {"i": 0, "f": 0}
@@ -75,43 +88,43 @@ def list_schedule_with_weights(
             live[reg.kind] += 1
 
     def grows_hot_bank(node: int) -> bool:
-        ins = dag.instrs[node]
-        for reg in ins.defs():
+        for reg in instrs[node].defs():
             bank = reg.kind
             if live[bank] < pressure_limit:
                 continue
-            freed = sum(1 for use in set(ins.uses())
+            freed = sum(1 for use in reads[node]
                         if use.kind == bank and remaining_uses[use] == 1)
             if freed < 1:
                 return True
         return False
 
     while ready:
-        best = None
-        best_key = None
-        for node in ready:
-            exposed = sum(1 for succ in dag.succs[node]
-                          if unscheduled_preds[succ] == 1)
-            key = (not grows_hot_bank(node), prio[node],
-                   pressure_delta[node], exposed, -node)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = node
+        # The probe can say True only while some bank is at the limit.
+        hot = live["i"] >= pressure_limit or live["f"] >= pressure_limit
+        best = max(ready, key=lambda node: (
+            not (hot and grows_hot_bank(node)), prio[node],
+            pressure_delta[node], exposed[node], -node))
         ready.remove(best)
         order.append(best)
-        ins = dag.instrs[best]
-        for reg in set(ins.uses()):
+        scheduled[best] = True
+        for reg in reads[best]:
             count = remaining_uses.get(reg, 0)
             if count == 1:
                 live[reg.kind] -= 1
             remaining_uses[reg] = count - 1
-        for reg in ins.defs():
+        for reg in instrs[best].defs():
             if remaining_uses.get(reg, 0) > 0:
                 live[reg.kind] += 1
-        for succ in dag.succs[best]:
-            unscheduled_preds[succ] -= 1
-            if unscheduled_preds[succ] == 0:
+        for succ in succs[best]:
+            waiting = unscheduled_preds[succ] - 1
+            unscheduled_preds[succ] = waiting
+            if waiting == 0:
                 ready.append(succ)
+            elif waiting == 1:
+                for pred in preds[succ]:
+                    if not scheduled[pred]:
+                        exposed[pred] += 1
+                        break
 
     if len(order) != n:
         raise RuntimeError("DAG has a cycle; scheduling failed")

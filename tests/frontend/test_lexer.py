@@ -3,6 +3,7 @@
 import pytest
 
 from repro.frontend import LexError, tokenize
+from repro.frontend.tokens import OPERATORS
 
 
 def kinds(source):
@@ -39,6 +40,12 @@ def test_integer_not_mistaken_for_float():
 
 def test_multichar_operators_win_over_prefixes():
     assert kinds("== = <= < && !")[:-1] == ["==", "=", "<=", "<", "&&", "!"]
+
+
+def test_every_operator_lexes_as_itself():
+    """The lexer looks operators up by one and two characters."""
+    for op in OPERATORS:
+        assert [(t.kind, t.text) for t in tokenize(op)[:-1]] == [(op, op)]
 
 
 def test_comments_are_skipped():

@@ -123,6 +123,18 @@ def test_run_result_fields_sane(tmp_path):
     assert result.static_instructions > 0
 
 
+def test_verbose_run_writes_nothing_to_stdout(tmp_path, capsys,
+                                              monkeypatch):
+    """Progress goes to stderr, so ``repro report > report.md`` holds
+    only the report."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    runner = ExperimentRunner(cache_dir=tmp_path, verbose=True)
+    runner.run("ora", "balanced", "base")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "running ora / balanced / base" in err
+
+
 def test_sweep_covers_requested_grid(tmp_path):
     runner = ExperimentRunner(cache_dir=tmp_path)
     results = runner.sweep(benchmarks=["ora"],

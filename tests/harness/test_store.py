@@ -39,14 +39,6 @@ class TestLayout:
             assert store.path_for(changed) != store.path_for(base), \
                 field.name
 
-    def test_entries_enumerates_across_shards(self, tmp_path):
-        store = ResultStore(tmp_path)
-        keys = [_key(benchmark=f"b{i}") for i in range(8)]
-        for key in keys:
-            store.store(key, {"n": 1})
-        assert len(store.entries()) == len(keys)
-        assert len(store.shards()) == len({k.shard for k in keys})
-
 
 class TestIO:
     def test_roundtrip(self, tmp_path):

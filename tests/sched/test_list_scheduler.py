@@ -107,3 +107,21 @@ def test_schedules_differ_between_weight_models_when_it_matters():
     # The serial chain head L2 (node 3) must issue before the cheap
     # ALU fillers X1/X2 under balanced weights.
     assert balanced.index(3) < balanced.index(5)
+
+
+def test_register_read_twice_dies_at_its_one_reader():
+    """``FMUL vf1, vf0, vf0`` frees the live-in ``vf0`` when it issues.
+
+    With one FP value live and a limit of one, the guard must let the
+    square go first even though the independent ``FLDI`` has the higher
+    priority: counting both reads of ``vf0`` kept it alive forever, so
+    the square looked like it grew the full bank too, and the ``FLDI``
+    won (order ``[1, 0, 2]``)."""
+    dag = build_dag([
+        Instruction("FMUL", dest=v(1, "f"), srcs=(v(0, "f"), v(0, "f"))),
+        Instruction("FLDI", dest=v(2, "f"), imm=2.0),
+        Instruction("FADD", dest=v(3, "f"), srcs=(v(1, "f"), v(2, "f"))),
+    ])
+    order = list_schedule_with_weights(dag, [1.0, 5.0, 1.0],
+                                       pressure_limit=1)
+    assert order == [0, 1, 2]

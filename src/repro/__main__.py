@@ -32,12 +32,11 @@ Common compiler flags: ``--scheduler {balanced,traditional,none}``,
 ``--issue-width N``.  ``bench``/``tables``/``report`` accept
 ``--oracle`` to run the scheduling oracle alongside the grid (the gap
 summary is attached to the run manifest and, for ``report``, rendered
-as its own section), ``--configs a,b,c`` (or ``REPRO_CONFIGS``) to
-restrict the grid,
+as its own section), ``--configs a,b,c`` to restrict the grid, and
 ``--trace [PREFIX]`` to record a pipeline trace (JSONL + Chrome
-trace-event files, written at ``PREFIX.jsonl`` / ``PREFIX.chrome.json``),
-and ``--validate-ir`` (or ``REPRO_VALIDATE_IR=1``) to re-check the IR
-invariants at every pass boundary of every compile.
+trace-event files, written at ``PREFIX.jsonl`` / ``PREFIX.chrome.json``).
+``REPRO_VALIDATE_IR=1`` re-checks the IR invariants at every pass
+boundary of every compile.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .harness import (
 )
 from .machine import DEFAULT_CONFIG, Simulator
 from .obs import NULL_OBSERVER, Observer, TracingObserver
-from .workloads import WORKLOAD_ORDER, WORKLOADS
+from .workloads import WORKLOAD_ORDER, WORKLOADS, benchmark_names
 
 
 def _default_jobs():
@@ -96,20 +95,14 @@ def _add_configs_flag(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--configs", nargs="*", metavar="NAME[,NAME...]",
         help=f"grid configs, space- or comma-separated "
-             f"(default: $REPRO_CONFIGS or {default_note}); "
+             f"(default: {default_note}); "
              f"known: {', '.join(CONFIGS)}")
 
 
 def _resolve_configs(args: argparse.Namespace) -> list[str] | None:
-    """``--configs a,b c`` / ``REPRO_CONFIGS=a,b`` -> validated list."""
-    raw = args.configs
-    if raw is None:
-        env = os.environ.get("REPRO_CONFIGS", "").strip()
-        if not env:
-            return None
-        raw = [env]
+    """``--configs a,b c`` -> validated list (None: no filter)."""
     names: list[str] = []
-    for token in raw:
+    for token in args.configs or ():
         names.extend(t for t in token.replace(",", " ").split() if t)
     unknown = [n for n in names if n not in CONFIGS]
     if unknown:
@@ -128,46 +121,6 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
              "writes PREFIX.jsonl and PREFIX.chrome.json "
              "(default prefix: repro-trace); forces in-process "
              "serial execution")
-
-
-def _add_validate_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--validate-ir", action="store_true",
-        help="validate IR invariants at every pass boundary of every "
-             "compile (equivalent to REPRO_VALIDATE_IR=1)")
-
-
-def _apply_validate_flag(args: argparse.Namespace) -> None:
-    # Exported through the environment so forked grid workers
-    # (harness.experiment) inherit validated compiles too.
-    if getattr(args, "validate_ir", False):
-        os.environ["REPRO_VALIDATE_IR"] = "1"
-
-
-def _add_sim_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sim", default=None, choices=("auto", "fast", "reference"),
-        help="simulator engine: the compiled fast engine, the "
-             "reference interpreter, or auto (fast when supported); "
-             "equivalent to REPRO_SIM")
-
-
-def _apply_sim_flag(args: argparse.Namespace) -> None:
-    # Exported through the environment so forked grid workers
-    # (harness.experiment) inherit the engine choice too.
-    sim = getattr(args, "sim", None)
-    if sim == "auto":
-        os.environ.pop("REPRO_SIM", None)
-    elif sim:
-        os.environ["REPRO_SIM"] = sim
-    else:
-        # A bad $REPRO_SIM should fail like a bad --sim: one line,
-        # before any grid worker trips over it mid-sweep.
-        env = os.environ.get("REPRO_SIM", "").strip()
-        if env and env not in ("fast", "reference"):
-            raise SystemExit(
-                f"repro: invalid REPRO_SIM value {env!r} "
-                f"(expected 'fast' or 'reference')")
 
 
 def _add_oracle_budget_flag(parser: argparse.ArgumentParser) -> None:
@@ -280,7 +233,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _apply_sim_flag(args)
     source = Path(args.file).read_text()
     result = compile_source(source, _options(args), Path(args.file).stem)
     sim = Simulator(result.program, config=result.options.config)
@@ -293,13 +245,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _apply_validate_flag(args)
-    _apply_sim_flag(args)
+    names = benchmark_names(args.names, "bench")
     observer = _make_observer(args)
     runner = ExperimentRunner(verbose=True,
                               jobs=_resolve_jobs(args.jobs),
                               observer=observer)
-    names = args.names or list(WORKLOAD_ORDER)
     configs = _resolve_configs(args) or ["base", "lu4", "lu8"]
     # Fan the grid out first (parallel when --jobs > 1); printing below
     # then reads the warmed in-memory cache in deterministic order.
@@ -325,8 +275,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    _apply_validate_flag(args)
-    _apply_sim_flag(args)
     observer = _make_observer(args)
     runner = ExperimentRunner(verbose=True,
                               jobs=_resolve_jobs(args.jobs),
@@ -359,8 +307,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .harness.report import build_report, write_report
 
-    _apply_validate_flag(args)
-    _apply_sim_flag(args)
     observer = _make_observer(args)
     runner = ExperimentRunner(verbose=True,
                               jobs=_resolve_jobs(args.jobs),
@@ -442,13 +388,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     from .oracle import oracle_summary
 
-    names = args.names or list(WORKLOAD_ORDER)
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        raise SystemExit(
-            f"repro oracle: unknown benchmark(s) "
-            f"{', '.join(unknown)} (known: "
-            f"{', '.join(WORKLOAD_ORDER)})")
+    names = benchmark_names(args.names, "oracle")
     configs = _resolve_configs(args) or ["base"]
     oracle = _oracle_runner(args, ExperimentRunner(
         verbose=True, jobs=_resolve_jobs(args.jobs)))
@@ -510,13 +450,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     from .analysis import analysis_summary, analyze_program, format_report
 
-    names = args.names or list(WORKLOAD_ORDER)
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        raise SystemExit(
-            f"repro analyze: unknown benchmark(s): "
-            f"{', '.join(unknown)} (known: "
-            f"{', '.join(WORKLOAD_ORDER)})")
+    names = benchmark_names(args.names, "analyze")
     options = _options(args)
     reports = [analyze_program(WORKLOADS[name].source, options, name)
                for name in names]
@@ -579,7 +513,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="compile and simulate")
     p_run.add_argument("file")
-    _add_sim_flag(p_run)
     p_run.add_argument("--dump", nargs="*", metavar="SYMBOL",
                        help="print these data symbols after the run")
     _add_compiler_flags(p_run)
@@ -591,8 +524,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_configs_flag(p_bench, "base lu4 lu8")
     _add_jobs_flag(p_bench)
     _add_trace_flag(p_bench)
-    _add_validate_flag(p_bench)
-    _add_sim_flag(p_bench)
     _add_oracle_flags(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 
@@ -602,8 +533,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_configs_flag(p_tables, "all")
     _add_jobs_flag(p_tables)
     _add_trace_flag(p_tables)
-    _add_validate_flag(p_tables)
-    _add_sim_flag(p_tables)
     _add_oracle_flags(p_tables)
     p_tables.set_defaults(fn=cmd_tables)
 
@@ -613,8 +542,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_configs_flag(p_report, "all")
     _add_jobs_flag(p_report)
     _add_trace_flag(p_report)
-    _add_validate_flag(p_report)
-    _add_sim_flag(p_report)
     _add_oracle_flags(p_report)
     p_report.set_defaults(fn=cmd_report)
 

@@ -5,7 +5,7 @@ next one relies on.  Four pieces:
 
 * :mod:`~repro.check.dataflow` -- a generic forward/backward monotone
   dataflow engine over :class:`~repro.ir.Cfg`, with reaching
-  definitions, live variables, and definite assignment built on it;
+  definitions and live variables built on it;
 * :mod:`~repro.check.validators` -- per-boundary IR validators (CFG
   structure, loop reducibility, register discipline, def-before-use,
   liveness cross-check, allocation soundness);
@@ -18,8 +18,8 @@ next one relies on.  Four pieces:
 Everything is orchestrated by
 :class:`~repro.check.boundary.PipelineValidator`; compiles without
 validation go through the no-op :data:`NULL_VALIDATOR` (zero cost
-off).  ``REPRO_VALIDATE_IR=1`` / ``--validate-ir`` turns validation on
-globally; ``repro check`` runs the whole thing in collect mode.
+off).  ``REPRO_VALIDATE_IR=1`` turns validation on globally;
+``repro check`` runs the whole thing in collect mode.
 """
 
 from .boundary import (
@@ -31,7 +31,6 @@ from .boundary import (
 from .dataflow import (
     TOP,
     DataflowAnalysis,
-    DefiniteAssignment,
     LiveVariables,
     ReachingDefinitions,
     solve,
@@ -66,8 +65,8 @@ from .validators import (
 __all__ = [
     "ENV_FLAG", "NULL_VALIDATOR", "PipelineValidator",
     "validator_from_env",
-    "TOP", "DataflowAnalysis", "DefiniteAssignment", "LiveVariables",
-    "ReachingDefinitions", "solve",
+    "TOP", "DataflowAnalysis", "LiveVariables", "ReachingDefinitions",
+    "solve",
     "BlockDeps", "DepSnapshot", "check_dependences",
     "snapshot_dependences",
     "ERROR", "NOTE", "SEVERITIES", "WARNING", "CheckError", "Diagnostic",

@@ -2,12 +2,11 @@
 
 :class:`PipelineValidator` is threaded through
 :func:`repro.harness.compile.compile_source` and invoked at every
-pipeline boundary.  In ``"raise"`` mode (the ``--validate-ir`` /
-``REPRO_VALIDATE_IR=1`` default) an error-severity diagnostic aborts
-the compile with a :class:`~repro.check.diagnostics.CheckError` naming
-the guilty pass; in ``"collect"`` mode (``repro check``) everything --
-including lints -- accumulates in :attr:`PipelineValidator.diagnostics`
-for reporting.
+pipeline boundary.  In ``"raise"`` mode (the ``REPRO_VALIDATE_IR=1``
+default) an error-severity diagnostic aborts the compile with a
+:class:`~repro.check.diagnostics.CheckError` naming the guilty pass;
+in ``"collect"`` mode (``repro check``) everything -- including lints
+-- accumulates in :attr:`PipelineValidator.diagnostics` for reporting.
 
 :data:`NULL_VALIDATOR` is the zero-cost-off default: every hook is a
 no-op ``pass``, mirroring :data:`repro.obs.NULL_OBSERVER`, so a
@@ -219,10 +218,10 @@ NULL_VALIDATOR = _NullValidator()
 def validator_from_env(observer: Observer = NULL_OBSERVER):
     """The process-wide default validator.
 
-    ``REPRO_VALIDATE_IR=1`` (the test suite sets it, ``--validate-ir``
-    sets it for CLI runs and their worker processes) turns every
-    compile into a validated compile in raising mode; anything else
-    keeps the zero-cost :data:`NULL_VALIDATOR`.
+    ``REPRO_VALIDATE_IR=1`` (the test suite sets it; grid worker
+    processes inherit it) turns every compile into a validated
+    compile in raising mode; anything else keeps the zero-cost
+    :data:`NULL_VALIDATOR`.
     """
     if os.environ.get(ENV_FLAG) == "1":
         return PipelineValidator(mode="raise", observer=observer)

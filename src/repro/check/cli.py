@@ -4,7 +4,7 @@ Compiles each selected benchmark under each selected grid config with a
 collect-mode :class:`~repro.check.boundary.PipelineValidator` (all
 validators plus lints), prints every diagnostic in a stable order, and
 returns a non-zero exit status iff an error-severity diagnostic exists
--- the CI contract of the ``check-smoke`` job.
+(``tests/harness/test_cli_check.py`` runs it over every benchmark).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from typing import Optional, TextIO
 
-from ..workloads import WORKLOAD_ORDER, WORKLOADS
+from ..workloads import WORKLOADS, benchmark_names
 from .boundary import PipelineValidator
 from .diagnostics import ERROR, NOTE, WARNING, Diagnostic, sort_diagnostics
 
@@ -41,13 +41,8 @@ def run_check(names: Optional[list[str]] = None,
     if out is None:
         out = sys.stdout
 
-    names = list(names) if names else list(WORKLOAD_ORDER)
+    names = benchmark_names(names, "check")
     configs = list(configs) if configs else ["base"]
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        raise SystemExit(
-            f"repro check: unknown benchmark(s): {', '.join(unknown)} "
-            f"(known: {', '.join(WORKLOAD_ORDER)})")
     unknown = [c for c in configs if c not in CONFIGS]
     if unknown:
         raise SystemExit(

@@ -7,7 +7,7 @@ values, and a per-block transfer function.  Values are compared with
 ``==``; iteration runs a worklist seeded in reverse postorder until a
 fixed point.
 
-Three concrete analyses ship with the engine and power the
+Two concrete analyses ship with the engine and power the
 pass-boundary validators (:mod:`repro.check.validators`):
 
 * :class:`ReachingDefinitions` -- which ``(register, instruction uid)``
@@ -15,9 +15,7 @@ pass-boundary validators (:mod:`repro.check.validators`):
   check);
 * :class:`LiveVariables` -- an independent liveness formulation used to
   cross-check :func:`repro.ir.liveness.liveness` (the
-  liveness-consistency check);
-* :class:`DefiniteAssignment` -- registers assigned on *every* path
-  from the entry (the maybe-uninitialized lint).
+  liveness-consistency check).
 
 Future passes can reuse the engine by subclassing
 :class:`DataflowAnalysis`; see ``docs/ANALYSIS.md``.
@@ -28,7 +26,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir import Cfg, reverse_postorder
-from ..isa import Reg
 
 #: Sentinel for "no information yet" (top): meet(TOP, x) == x.
 TOP = None
@@ -166,9 +163,6 @@ class ReachingDefinitions(DataflowAnalysis):
         kept = frozenset(item for item in value if item[0] not in defs)
         return kept | frozenset(defs.items())
 
-    def defined_regs(self, value: frozenset) -> set[Reg]:
-        return {reg for reg, _uid in value}
-
 
 class LiveVariables(DataflowAnalysis):
     """Backward may-analysis: registers live at each block boundary.
@@ -194,29 +188,3 @@ class LiveVariables(DataflowAnalysis):
             for reg in instr.uses():
                 live.add(reg)
         return frozenset(live)
-
-
-class DefiniteAssignment(DataflowAnalysis):
-    """Must-analysis: registers assigned on every path from the entry."""
-
-    direction = "forward"
-
-    def __init__(self, track=None, preset: frozenset = frozenset()) -> None:
-        self.track = track or (lambda reg: True)
-        #: Registers assigned before the program starts (e.g. the stack
-        #: pointer, which the machine initializes).
-        self.preset = preset
-
-    def boundary(self, cfg: Cfg) -> frozenset:
-        return self.preset
-
-    def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    def transfer(self, block, value: frozenset) -> frozenset:
-        assigned = set(value)
-        for instr in block.instrs:
-            for reg in instr.defs():
-                if self.track(reg):
-                    assigned.add(reg)
-        return frozenset(assigned)

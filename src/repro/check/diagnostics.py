@@ -7,10 +7,10 @@ of the offending construct, rendered ``line:column`` exactly like
 frontend errors.
 
 Error-severity diagnostics are *hard*: in raising mode (the default for
-``--validate-ir`` / ``REPRO_VALIDATE_IR=1`` compiles) they abort the
-compilation with a :class:`CheckError` naming the pass that broke the
-IR, instead of letting a miscompile surface later as a mysteriously
-wrong cycle count.  Warnings and notes are lints: collected, reported
+``REPRO_VALIDATE_IR=1`` compiles) they abort the compilation with a
+:class:`CheckError` naming the pass that broke the IR, instead of
+letting a miscompile surface later as a mysteriously wrong cycle
+count.  Warnings and notes are lints: collected, reported
 by ``repro check``, and never fatal.
 """
 

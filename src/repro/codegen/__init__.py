@@ -2,9 +2,9 @@
 
 from .lower import Lowerer, lower
 from .regalloc import AllocationResult, allocate_registers
-from .verify import VerificationError, check_program, verify_program
+from .verify import VerificationError, verify_program
 
 __all__ = [
     "Lowerer", "lower", "AllocationResult", "allocate_registers",
-    "VerificationError", "check_program", "verify_program",
+    "VerificationError", "verify_program",
 ]

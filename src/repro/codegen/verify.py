@@ -201,13 +201,3 @@ def _scratch_consumer_nearby(instructions, index: int) -> bool:
         if follower.is_branch or follower.op == "HALT":
             break
     return False
-
-
-def check_program(program: MachineProgram,
-                  allow_virtual: bool = False) -> list[str]:
-    """Like :func:`verify_program` but collects problems as strings."""
-    try:
-        verify_program(program, allow_virtual=allow_virtual)
-    except (VerificationError, ValueError) as exc:
-        return [str(exc)]
-    return []

@@ -254,7 +254,7 @@ def build_report(runner: Optional[ExperimentRunner] = None,
     """Render the comparison as a markdown table.
 
     *configs* restricts the report to metrics whose grid configs are
-    all included (``--configs``/``REPRO_CONFIGS``); the default is the
+    all included (``--configs``); the default is the
     full report.  *oracle*, when given, is an
     :class:`~repro.oracle.gap.OracleRunner` (or any object with the
     same ``sweep``) whose base-config gap analyses feed the

@@ -95,11 +95,10 @@ class Metrics:
     def validate(self, issue_width: int = 1) -> None:
         """Check the structural invariants between counters.
 
-        Called at the end of every simulation when the
-        ``REPRO_VALIDATE_METRICS=1`` environment variable is set (the
-        test suite sets it), so a counter-accounting bug fails loudly
-        instead of silently skewing a table.  Raises
-        :class:`MetricsInvariantError` with a one-line reason.
+        Called at the end of every simulation, so a
+        counter-accounting bug fails loudly instead of silently
+        skewing a table.  Raises :class:`MetricsInvariantError` with a
+        one-line reason.
         """
         def fail(reason: str) -> None:
             raise MetricsInvariantError(f"metrics invariant: {reason}")

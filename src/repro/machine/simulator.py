@@ -24,7 +24,6 @@ frequencies (the paper's profiling step for trace selection).
 from __future__ import annotations
 
 import heapq
-import os
 from typing import TYPE_CHECKING, Optional
 
 from ..isa import MachineProgram, OpClass, Reg
@@ -69,10 +68,9 @@ class Simulator:
     ``mode`` selects the execution engine:
 
     * ``"auto"`` (default): the throughput-oriented compiled engine
-      (:mod:`repro.machine.fastsim`) whenever the configuration
-      supports it, the reference interpreter otherwise.  The
-      ``REPRO_SIM`` environment variable (``fast`` / ``reference``)
-      overrides the choice.
+      (:mod:`repro.machine.fastsim`) unless the configuration is
+      multi-issue or has several memory ports, or ``profile=True``
+      asks for block counts; the reference interpreter then.
     * ``"fast"`` / ``"reference"``: force one engine.  ``"fast"``
       raises if the configuration is unsupported.
     * ``"profile"``: architectural execution only — block and edge
@@ -81,9 +79,11 @@ class Simulator:
       ``profile=True``; cycle counters are placeholders.
 
     Both timing engines are bit-identical in every :class:`Metrics`
-    counter and in final architectural state (the test suite and the
-    ``sim-throughput`` CI job enforce this).  After :meth:`run`,
-    ``mode_used`` records which engine actually executed.
+    counter and in final architectural state
+    (``benchmarks/test_sim_identity.py`` compares them over the
+    grid).  After :meth:`run`, ``mode_used`` records which engine
+    actually executed, and every run's metrics have passed
+    :meth:`Metrics.validate`.
     """
 
     def __init__(self, program: MachineProgram,
@@ -251,14 +251,7 @@ class Simulator:
         """
         if self.mode_used is not None:
             return
-        mode = self.mode
-        if mode == "auto":
-            env = os.environ.get("REPRO_SIM", "").strip()
-            if env and env not in ("fast", "reference"):
-                raise ValueError(
-                    f"REPRO_SIM must be 'fast' or 'reference', "
-                    f"got {env!r}")
-            mode = env or "fast"
+        mode = "fast" if self.mode == "auto" else self.mode
         if mode == "fast":
             from .fastsim import build_engine
 
@@ -304,8 +297,7 @@ class Simulator:
             # cycle, so a finished simulator is freed by reference
             # counting instead of waiting for the cyclic collector.
             self._fast_engine = None
-        if os.environ.get("REPRO_VALIDATE_METRICS") == "1":
-            self.metrics.validate(issue_width=self.config.issue_width)
+        self.metrics.validate(issue_width=self.config.issue_width)
         return self.metrics
 
     def _flush_machine_stats(self) -> None:

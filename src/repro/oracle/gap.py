@@ -74,7 +74,8 @@ from .block import (
 from .modulo import LoopOracleResult, oracle_loop
 from .solver import Budget
 
-#: Stable schema version of the per-point gap payload (CI asserts it).
+#: Stable schema version of the per-point gap payload (a cached
+#: payload of another version is recomputed).
 GAP_SCHEMA_VERSION = 1
 
 #: Store-key scheduler name for oracle results, which share the result

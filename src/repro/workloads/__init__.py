@@ -1,7 +1,13 @@
 """Workloads: the 17 synthetic benchmarks and DAG generators."""
 
 from .generator import KernelSpec, generate_kernel
-from .programs import WORKLOAD_ORDER, WORKLOADS, Workload, get_workload
+from .programs import (
+    WORKLOAD_ORDER,
+    WORKLOADS,
+    Workload,
+    benchmark_names,
+    get_workload,
+)
 from .synthetic_dags import (
     figure1_dag,
     parallel_loads_dag,
@@ -11,6 +17,7 @@ from .synthetic_dags import (
 
 __all__ = [
     "KernelSpec", "generate_kernel",
-    "WORKLOAD_ORDER", "WORKLOADS", "Workload", "get_workload",
+    "WORKLOAD_ORDER", "WORKLOADS", "Workload", "benchmark_names",
+    "get_workload",
     "figure1_dag", "parallel_loads_dag", "random_dag", "serial_loads_dag",
 ]

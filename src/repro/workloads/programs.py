@@ -850,3 +850,16 @@ WORKLOAD_ORDER = list(WORKLOADS)
 
 def get_workload(name: str) -> Workload:
     return WORKLOADS[name]
+
+
+def benchmark_names(names, command: str) -> list[str]:
+    """*names*, or all 17 in paper order when empty, for the CLI
+    command *command*: an unknown name exits with a one-line error
+    naming it, before any work (or manifest write) starts."""
+    names = list(names) if names else list(WORKLOAD_ORDER)
+    unknown = [n for n in names if n not in WORKLOADS]
+    if unknown:
+        raise SystemExit(
+            f"repro {command}: unknown benchmark(s): "
+            f"{', '.join(unknown)} (known: {', '.join(WORKLOAD_ORDER)})")
+    return names

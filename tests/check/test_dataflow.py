@@ -1,11 +1,6 @@
-"""The generic dataflow engine and its three shipped analyses."""
+"""The generic dataflow engine and its two shipped analyses."""
 
-from repro.check import (
-    DefiniteAssignment,
-    LiveVariables,
-    ReachingDefinitions,
-    solve,
-)
+from repro.check import LiveVariables, ReachingDefinitions, solve
 from repro.ir import BasicBlock, Cfg, liveness
 from repro.isa import Instruction, Reg
 
@@ -88,20 +83,6 @@ def test_live_variables_agrees_with_ir_liveness():
         for label in cfg.order:
             assert set(engine_in[label]) == set(live_in[label]), label
             assert set(engine_out[label]) == set(live_out[label]), label
-
-
-def test_definite_assignment_is_must_not_may():
-    cfg = Cfg(entry="entry")
-    cfg.add_block(BasicBlock("entry", [ldi(0, 1),
-                                       Instruction("BEQ", srcs=(v(0),),
-                                                   label="skip")],
-                             fallthrough="assign"))
-    # v1 is assigned on only one of the two paths.
-    cfg.add_block(BasicBlock("assign", [ldi(1, 2)], fallthrough="skip"))
-    cfg.add_block(BasicBlock("skip", [Instruction("HALT")]))
-    value_in, _ = solve(cfg, DefiniteAssignment())
-    assert v(0) in value_in["skip"]
-    assert v(1) not in value_in["skip"]
 
 
 def test_solver_skips_unreachable_blocks():

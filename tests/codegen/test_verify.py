@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.codegen.verify import (
-    VerificationError,
-    check_program,
-    verify_program,
-)
+from repro.codegen.verify import VerificationError, verify_program
 from repro.harness.compile import Options, compile_source
 from repro.isa import Instruction, MemRef, Reg, assemble, ireg
 
@@ -25,7 +21,6 @@ def test_clean_program_passes():
         Instruction("HALT"),
     ])
     verify_program(program, allow_virtual=True)
-    assert check_program(program, allow_virtual=True) == []
 
 
 def test_virtual_registers_rejected_post_allocation():
@@ -44,8 +39,7 @@ def test_write_to_zero_register_rejected():
     ])
     # Writes to r31 are silently discarded by defs(); build one that
     # slips through via the dest field of a CMOV-style op instead.
-    errors = check_program(program)
-    assert errors == []          # defs() hides it: nothing to detect
+    verify_program(program)      # defs() hides it: nothing to detect
 
     program = program_of([
         Instruction("LDI", dest=ireg(30), imm=1),
@@ -105,8 +99,8 @@ def test_missing_halt_rejected():
 def test_undefined_label_reported():
     program = program_of([Instruction("HALT")])
     program.instructions.insert(0, Instruction("BR", label="nowhere"))
-    errors = check_program(program)
-    assert errors and "nowhere" in errors[0]
+    with pytest.raises(ValueError, match="nowhere"):
+        verify_program(program)
 
 
 def test_compiled_workload_programs_verify(small_kernel_source):

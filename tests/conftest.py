@@ -6,9 +6,6 @@ import os
 
 import pytest
 
-# Every simulation in the suite re-checks the Metrics invariants
-# (counter accounting bugs fail loudly instead of skewing tables).
-os.environ.setdefault("REPRO_VALIDATE_METRICS", "1")
 # Every compile in the suite re-checks the IR invariants at each pass
 # boundary (repro.check: CFG structure, def-before-use, dependence
 # preservation across the schedulers, allocation soundness).

@@ -1,4 +1,4 @@
-"""``--configs`` / ``REPRO_CONFIGS`` / ``--jobs`` CLI hygiene.
+"""``--configs`` / ``--jobs`` / benchmark-name CLI hygiene.
 
 Bad inputs must exit non-zero with a one-line error, never a
 traceback; the message must name the offending value."""
@@ -9,49 +9,35 @@ import os
 import pytest
 
 from repro.__main__ import _resolve_configs, _resolve_jobs, main
+from repro.harness import ExperimentRunner
 
 
 def _args(configs):
     return argparse.Namespace(configs=configs)
 
 
-def test_comma_and_space_separated_forms(monkeypatch):
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
+def test_comma_and_space_separated_forms():
     assert _resolve_configs(_args(["swp,la+swp"])) == ["swp", "la+swp"]
     assert _resolve_configs(_args(["base", "lu4"])) == ["base", "lu4"]
     assert _resolve_configs(_args(["base,lu4", "swp"])) == \
         ["base", "lu4", "swp"]
 
 
-def test_duplicates_removed_in_order(monkeypatch):
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
+def test_duplicates_removed_in_order():
     assert _resolve_configs(_args(["swp,base,swp"])) == ["swp", "base"]
 
 
-def test_env_fallback(monkeypatch):
-    monkeypatch.setenv("REPRO_CONFIGS", "swp,base")
-    assert _resolve_configs(_args(None)) == ["swp", "base"]
-
-
-def test_flag_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CONFIGS", "base")
-    assert _resolve_configs(_args(["swp"])) == ["swp"]
-
-
-def test_unset_means_no_filter(monkeypatch):
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
+def test_unset_means_no_filter():
     assert _resolve_configs(_args(None)) is None
 
 
-def test_unknown_config_rejected(monkeypatch):
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
+def test_unknown_config_rejected():
     with pytest.raises(SystemExit, match="unknown config"):
         _resolve_configs(_args(["bogus"]))
 
 
 def test_bench_runs_selected_config(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
     assert main(["bench", "ora", "--configs", "swp"]) == 0
     out = capsys.readouterr().out
     assert "swp" in out
@@ -60,7 +46,6 @@ def test_bench_runs_selected_config(monkeypatch, capsys, tmp_path):
 
 def test_tables_skips_uncovered_tables(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
     # Only static tables are covered by an empty-ish selection.
     assert main(["tables", "1", "4", "--configs", "base"]) == 0
     captured = capsys.readouterr()
@@ -106,8 +91,7 @@ def test_bench_bad_jobs_env_exits_with_one_liner(monkeypatch):
         str(excinfo.value.code)
 
 
-def test_bad_configs_flag_exits_with_one_liner(monkeypatch):
-    monkeypatch.delenv("REPRO_CONFIGS", raising=False)
+def test_bad_configs_flag_exits_with_one_liner():
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "ora", "--configs", "nope"])
     message = str(excinfo.value.code)
@@ -115,28 +99,21 @@ def test_bad_configs_flag_exits_with_one_liner(monkeypatch):
     assert "\n" not in message
 
 
-def test_bad_configs_env_exits_with_one_liner(monkeypatch):
-    monkeypatch.setenv("REPRO_CONFIGS", "bogus,base")
-    with pytest.raises(SystemExit, match="unknown config"):
-        main(["bench", "ora"])
-
-
-def test_bad_sim_env_exits_with_one_liner(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM", "turbo")
+def test_bench_unknown_benchmark_leaves_the_manifest(monkeypatch,
+                                                     tmp_path):
+    # The check runs before the sweep, so an earlier sweep's manifest
+    # is not overwritten by an empty partial one.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    runner = ExperimentRunner(cache_dir=tmp_path)
+    runner.sweep(benchmarks=["ora"], schedulers=("balanced",),
+                 configs=["base"])
+    before = runner.manifest_path.read_bytes()
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "ora", "--configs", "base"])
+        main(["bench", "bogus", "--configs", "base"])
     message = str(excinfo.value.code)
-    assert "invalid REPRO_SIM value 'turbo'" in message
+    assert message.startswith("repro bench: unknown benchmark(s): bogus")
     assert "\n" not in message
-
-
-def test_sim_flag_overrides_bad_env(monkeypatch, tmp_path):
-    # --sim auto clears a stale REPRO_SIM instead of tripping on it.
-    monkeypatch.setenv("REPRO_SIM", "turbo")
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    assert main(["bench", "ora", "--configs", "base",
-                 "--sim", "auto"]) == 0
-    assert "REPRO_SIM" not in os.environ
+    assert runner.manifest_path.read_bytes() == before
 
 
 def test_profile_unknown_benchmark_exits_with_one_liner():

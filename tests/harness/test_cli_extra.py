@@ -32,6 +32,11 @@ def test_bench_jobs_flag_parallel(capsys, tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
     assert manifest["jobs"] == 2
     assert manifest["grid_points"] == 4
+    # A warm re-run executes nothing and rewrites the manifest.
+    assert main(["bench", "ora", "--configs", "base", "lu4",
+                 "--jobs", "2"]) == 0
+    manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+    assert manifest["executed"] == 0 and manifest["cached"] == 4
 
 
 def test_bench_jobs_env_default(capsys, tmp_path, monkeypatch):

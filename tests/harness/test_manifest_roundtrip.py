@@ -43,7 +43,9 @@ def test_manifest_loads_into_equal_dataclasses(tmp_path):
     swp = manifest.run_for("ora", "balanced", "swp")
     assert swp is not None and swp.modulo is not None
     assert swp.modulo["attempted"] >= swp.modulo["pipelined"]
-    assert manifest.modulo, "sweep-level modulo aggregates present"
+    # ora pipelines one of its two loops, within II <= 2*MII.
+    assert manifest.modulo["balanced/swp"]["loops_pipelined"] >= 1
+    assert manifest.modulo["balanced/swp"]["max_ii_over_mii"] <= 2.0
 
     # v7: a fast-engine run builds exactly one timing engine, and a
     # clean store had nothing to drop or reap.

@@ -1,6 +1,6 @@
 """Compiled fast engine: bit-identity vs. the reference interpreter
 (stall attribution included), MSHR bookkeeping under the heap, the
-engine selection API (mode=, REPRO_SIM), and the build's structural
+engine selection API (mode=), and the build's structural
 memory properties."""
 
 from __future__ import annotations
@@ -281,21 +281,6 @@ class TestRunContract:
 
 
 class TestModeSelection:
-    def test_env_forces_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "reference")
-        program = assemble_instrs([Instruction("LDI", dest=v(0),
-                                               imm=1)])
-        sim = Simulator(program)
-        sim.run()
-        assert sim.mode_used == "reference"
-
-    def test_env_rejects_unknown_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "turbo")
-        program = assemble_instrs([Instruction("LDI", dest=v(0),
-                                               imm=1)])
-        with pytest.raises(ValueError, match="REPRO_SIM"):
-            Simulator(program).run()
-
     def test_explicit_fast_rejects_unsupported_config(self):
         from dataclasses import replace
 

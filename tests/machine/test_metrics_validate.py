@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import copy
+import os
 
 import pytest
 
-from repro.machine import MetricsInvariantError, Simulator
+from repro.machine import Metrics, MetricsInvariantError
 from tests.conftest import compile_and_simulate, SMALL_KERNEL
 
 
@@ -76,10 +77,16 @@ def test_mshr_stalls_bounded_by_load_interlocks(real_metrics):
 
 
 def test_simulator_env_gate_runs_validate(monkeypatch, run_source):
-    """The suite-wide REPRO_VALIDATE_METRICS gate reaches Simulator.run:
-    every conftest-driven simulation in this suite has already passed
-    validate(); here we only confirm the gate is on."""
-    import os
-    assert os.environ.get("REPRO_VALIDATE_METRICS") == "1"
-    _, _, metrics = run_source(SMALL_KERNEL)
-    metrics.validate()
+    """Simulator.run validates every simulation: no environment
+    variable gates it, so with no ``REPRO_*`` variable set a failing
+    validate() still fails the run."""
+    for name in [name for name in os.environ
+                 if name.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+
+    def refuse(self, issue_width=1):
+        raise MetricsInvariantError("validate() ran")
+
+    monkeypatch.setattr(Metrics, "validate", refuse)
+    with pytest.raises(MetricsInvariantError, match=r"validate\(\) ran"):
+        run_source(SMALL_KERNEL)

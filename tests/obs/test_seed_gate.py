@@ -2,8 +2,8 @@
 
 ``benchmarks/seed-manifest.json`` is what ``repro bench ora ear
 --configs base lu4`` followed by ``repro analyze --attach`` writes.
-The current code must reproduce it exactly, and ``repro obs-diff``
-must fail on any one-count change to it."""
+The current code must reproduce it exactly, traced and untraced, and
+``repro obs-diff`` must fail on any one-count change to it."""
 
 from __future__ import annotations
 
@@ -80,13 +80,32 @@ def test_gate_fails_on_a_deleted_point_or_section(delete, tmp_path,
     assert line in capsys.readouterr().out
 
 
-def test_seed_grid_reproduces_exactly(tmp_path, monkeypatch, capsys):
+def _reproduce_seed(tmp_path, monkeypatch, capsys, *bench_flags):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    for name in ("REPRO_NO_CACHE", "REPRO_CONFIGS", "REPRO_JOBS"):
+    for name in ("REPRO_NO_CACHE", "REPRO_JOBS"):
         monkeypatch.delenv(name, raising=False)
-    assert main(["bench", "ora", "ear", "--configs", "base", "lu4"]) == 0
+    assert main(["bench", "ora", "ear", "--configs", "base", "lu4",
+                 *bench_flags]) == 0
     assert main(["analyze", "--attach"]) == 0
     capsys.readouterr()
     manifest = tmp_path / "run-manifest.json"
     assert main(["obs-diff", str(SEED_PATH), str(manifest)]) == 0, \
         capsys.readouterr().out
+
+
+def test_seed_grid_reproduces_exactly(tmp_path, monkeypatch, capsys):
+    _reproduce_seed(tmp_path, monkeypatch, capsys)
+
+
+def test_traced_seed_grid_reproduces_exactly(tmp_path, monkeypatch,
+                                             capsys):
+    # Every point runs here with a stall profile attached, which the
+    # fast engine compiles into its own code.
+    _reproduce_seed(tmp_path, monkeypatch, capsys,
+                    "--trace", str(tmp_path / "t"))
+    rows = [json.loads(line) for line in
+            (tmp_path / "t.jsonl").read_text().splitlines()]
+    assert any(row["type"] == "span" and row["name"] == "grid-point"
+               for row in rows)
+    chrome = json.loads((tmp_path / "t.chrome.json").read_text())
+    assert chrome["traceEvents"]

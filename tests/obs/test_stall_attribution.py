@@ -22,11 +22,6 @@ from repro.workloads import WORKLOADS
 ENGINES = ("reference", "auto")
 
 
-@pytest.fixture(autouse=True)
-def _default_engine(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM", raising=False)
-
-
 def _profiled_runs(benchmark: str, scheduler: str, config: str):
     """One profiled run per engine of the same compiled program."""
     observer = TracingObserver()
@@ -100,23 +95,27 @@ def test_disabled_observer_is_bit_identical():
     assert bare.instructions == profiled.instructions
 
 
-def _traced_sweep(cache_dir):
-    runner = ExperimentRunner(cache_dir=cache_dir,
+def test_traced_sweep_runs_the_fast_engine(tmp_path):
+    """A traced sweep attributes on the default engine, and each
+    point's stall section equals the interpreter's on the same
+    program."""
+    runner = ExperimentRunner(cache_dir=tmp_path,
                               observer=TracingObserver())
     runner.sweep(benchmarks=["ora"], configs=["base", "trs4"])
-    return load_manifest(runner.manifest_path)
-
-
-def test_traced_sweep_runs_the_fast_engine(tmp_path, monkeypatch):
-    """A traced sweep attributes on the default engine, and its stall
-    section equals the interpreter's."""
-    fast = _traced_sweep(tmp_path / "fast")
-    monkeypatch.setenv("REPRO_SIM", "reference")
-    reference = _traced_sweep(tmp_path / "reference")
-    assert len(fast.runs) == len(fast.trace["stalls"]) == 4
-    assert {run.sim_mode for run in fast.runs} == {"fast"}
-    assert {run.sim_mode for run in reference.runs} == {"reference"}
-    assert fast.trace["stalls"] == reference.trace["stalls"]
+    manifest = load_manifest(runner.manifest_path)
+    stalls = manifest.trace["stalls"]
+    assert len(manifest.runs) == len(stalls) == 4
+    assert {run.sim_mode for run in manifest.runs} == {"fast"}
+    workload = WORKLOADS["ora"]
+    for run in manifest.runs:
+        options = options_for(run.scheduler, run.config)
+        program = compile_source(workload.source, options,
+                                 workload.name).program
+        profile = StallProfile()
+        Simulator(program, config=options.config, mode="reference",
+                  stall_profile=profile).run()
+        section = stalls[f"ora/{run.scheduler}/{run.config}"]
+        assert section == profile.to_json(top=len(section["hot_loads"]))
 
 
 def test_null_observer_spans_are_reusable():

@@ -82,6 +82,21 @@ def test_runner_caches_bit_stable_payloads(tmp_path, monkeypatch):
     assert second.runner.load(key) is not None
 
 
+def test_cli_full_json_is_identical_in_two_cold_caches(tmp_path,
+                                                       monkeypatch,
+                                                       capsys):
+    outputs = []
+    for cache in ("a", "b"):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / cache))
+        assert main(["oracle", "ora", "--oracle-budget", "50000",
+                     "--json", "--full"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    (payload,) = json.loads(outputs[0])
+    assert payload["benchmark"] == "ora"
+    assert payload["budget"] == "n50000" and payload["validated"]
+
+
 def test_budget_is_part_of_the_cache_key(tmp_path):
     lo = _oracle(tmp_path, budget=100)
     hi = _oracle(tmp_path, budget=100_000)

@@ -9,7 +9,8 @@ Table regeneration is fanned out over all cores: the session-scoped
 runner prewarms the full grid with ``sweep(jobs=N)`` before the table
 generators walk it serially (every walk is then a cache hit).  Set
 ``REPRO_JOBS`` to control the worker count (``1`` disables the
-prewarm and the pool).
+prewarm and the pool); the ``jobs`` fixture gives the same count to
+suites that fan out their own work (``test_sim_identity.py``).
 """
 
 from __future__ import annotations
@@ -33,8 +34,13 @@ def _default_jobs() -> int:
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    runner = ExperimentRunner(verbose=False, jobs=_default_jobs())
+def jobs() -> int:
+    return _default_jobs()
+
+
+@pytest.fixture(scope="session")
+def runner(jobs) -> ExperimentRunner:
+    runner = ExperimentRunner(verbose=False, jobs=jobs)
     if runner.jobs > 1:
         runner.sweep()          # parallel prewarm of the full grid
     return runner

@@ -55,6 +55,7 @@ from .harness import (
     Options,
     attach_section,
     compile_source,
+    config_names,
     options_for,
 )
 from .machine import DEFAULT_CONFIG, Simulator
@@ -104,11 +105,7 @@ def _resolve_configs(args: argparse.Namespace) -> list[str] | None:
     names: list[str] = []
     for token in args.configs or ():
         names.extend(t for t in token.replace(",", " ").split() if t)
-    unknown = [n for n in names if n not in CONFIGS]
-    if unknown:
-        raise SystemExit(
-            f"unknown config(s): {', '.join(unknown)} "
-            f"(known: {', '.join(CONFIGS)})")
+    names = config_names(names, args.command)
     # Deduplicate, preserving order.
     return list(dict.fromkeys(names)) or None
 
@@ -236,6 +233,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     source = Path(args.file).read_text()
     result = compile_source(source, _options(args), Path(args.file).stem)
     sim = Simulator(result.program, config=result.options.config)
+    sim.build()
+    if sim.mode_used == "reference":
+        from .machine.fastsim import interpreter_reason
+
+        print(f"repro run: reference interpreter, not the fast engine: "
+              f"{interpreter_reason(sim)}", file=sys.stderr)
     metrics = sim.run()
     print(metrics.summary())
     if args.dump:

@@ -16,12 +16,32 @@ from typing import Optional
 from ..frontend import ast
 
 
-@dataclass(frozen=True)
 class AffineForm:
-    """``sum(coeffs[v] * v) + const`` with integer coefficients."""
+    """``sum(coeffs[v] * v) + const`` with integer coefficients.
 
-    coeffs: tuple[tuple[str, int], ...] = ()
-    const: int = 0
+    ``coeffs`` holds ``(name, coeff)`` pairs sorted by name, with no
+    zero coefficient; :meth:`add` and :meth:`scale` keep it so.  A form
+    is an immutable value: equal, and hashed alike, when ``coeffs`` and
+    ``const`` are.
+    """
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: tuple[tuple[str, int], ...] = (),
+                 const: int = 0) -> None:
+        self.coeffs = coeffs
+        self.const = const
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AffineForm:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.const == other.const
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.const))
+
+    def __repr__(self) -> str:
+        return f"AffineForm(coeffs={self.coeffs!r}, const={self.const!r})"
 
     @staticmethod
     def constant(value: int) -> "AffineForm":
@@ -38,19 +58,26 @@ class AffineForm:
         return self.coeff_map().get(name, 0)
 
     def add(self, other: "AffineForm", sign: int = 1) -> "AffineForm":
+        const = self.const + sign * other.const
+        if not other.coeffs:
+            return AffineForm(self.coeffs, const)
+        if not self.coeffs and sign == 1:
+            return AffineForm(other.coeffs, const)
         coeffs = self.coeff_map()
         for name, c in other.coeffs:
             coeffs[name] = coeffs.get(name, 0) + sign * c
         return AffineForm(
             tuple(sorted((n, c) for n, c in coeffs.items() if c != 0)),
-            self.const + sign * other.const)
+            const)
 
     def scale(self, factor: int) -> "AffineForm":
+        if factor == 1:
+            return self
         if factor == 0:
             return AffineForm.constant(0)
-        return AffineForm(
-            tuple(sorted((n, c * factor) for n, c in self.coeffs)),
-            self.const * factor)
+        # Scaling keeps the names, so the pairs stay sorted.
+        return AffineForm(tuple([(n, c * factor) for n, c in self.coeffs]),
+                          self.const * factor)
 
     @property
     def is_constant(self) -> bool:

@@ -4,8 +4,9 @@ The layer that proves each compiler pass preserved the invariants the
 next one relies on.  Four pieces:
 
 * :mod:`~repro.check.dataflow` -- a generic forward/backward monotone
-  dataflow engine over :class:`~repro.ir.Cfg`, with reaching
-  definitions and live variables built on it;
+  dataflow engine over :class:`~repro.ir.Cfg`, with defined registers
+  (reaching definitions projected to registers) and live variables
+  built on it;
 * :mod:`~repro.check.validators` -- per-boundary IR validators (CFG
   structure, loop reducibility, register discipline, def-before-use,
   liveness cross-check, allocation soundness);
@@ -31,8 +32,8 @@ from .boundary import (
 from .dataflow import (
     TOP,
     DataflowAnalysis,
+    DefinedRegisters,
     LiveVariables,
-    ReachingDefinitions,
     solve,
 )
 from .dependence import (
@@ -65,7 +66,7 @@ from .validators import (
 __all__ = [
     "ENV_FLAG", "NULL_VALIDATOR", "PipelineValidator",
     "validator_from_env",
-    "TOP", "DataflowAnalysis", "LiveVariables", "ReachingDefinitions",
+    "TOP", "DataflowAnalysis", "DefinedRegisters", "LiveVariables",
     "solve",
     "BlockDeps", "DepSnapshot", "check_dependences",
     "snapshot_dependences",

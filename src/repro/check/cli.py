@@ -36,18 +36,13 @@ def run_check(names: Optional[list[str]] = None,
               scheduler: str = "balanced", lint: bool = True,
               out: Optional[TextIO] = None) -> int:
     """Check benchmarks; returns the ``repro check`` exit status."""
-    from ..harness.experiment import CONFIGS, options_for
+    from ..harness.experiment import config_names, options_for
 
     if out is None:
         out = sys.stdout
 
     names = benchmark_names(names, "check")
-    configs = list(configs) if configs else ["base"]
-    unknown = [c for c in configs if c not in CONFIGS]
-    if unknown:
-        raise SystemExit(
-            f"repro check: unknown config(s): {', '.join(unknown)} "
-            f"(known: {', '.join(CONFIGS)})")
+    configs = config_names(configs or ["base"], "check")
 
     counts = {ERROR: 0, WARNING: 0, NOTE: 0}
     checked = 0

@@ -10,9 +10,8 @@ fixed point.
 Two concrete analyses ship with the engine and power the
 pass-boundary validators (:mod:`repro.check.validators`):
 
-* :class:`ReachingDefinitions` -- which ``(register, instruction uid)``
-  definition sites may reach each block entry (the def-before-use
-  check);
+* :class:`DefinedRegisters` -- which registers some definition may
+  reach at each block entry (the def-before-use check);
 * :class:`LiveVariables` -- an independent liveness formulation used to
   cross-check :func:`repro.ir.liveness.liveness` (the
   liveness-consistency check).
@@ -134,8 +133,15 @@ def _solve_backward(cfg: Cfg, analysis: DataflowAnalysis,
 
 
 # --------------------------------------------------------------- analyses
-class ReachingDefinitions(DataflowAnalysis):
-    """May-analysis: which ``(reg, uid)`` def sites reach a point.
+class DefinedRegisters(DataflowAnalysis):
+    """Forward may-analysis: the registers some definition reaches.
+
+    Reaching definitions projected from ``(reg, def site)`` pairs to
+    registers.  A block kills only sites of registers it defines
+    itself, so the projection of ``(in - kill) | gen`` is ``in |
+    defs(block)``, and union commutes with the projection: the
+    solution is exactly the registers of the reaching-definitions
+    solution, computed without a set of sites per block.
 
     ``track`` restricts the analysis to a register predicate (e.g. only
     virtual registers pre-regalloc, only physical ones after).
@@ -145,6 +151,9 @@ class ReachingDefinitions(DataflowAnalysis):
 
     def __init__(self, track=None) -> None:
         self.track = track or (lambda reg: True)
+        #: Tracked registers each block defines, by block; a block is
+        #: not changed while it is solved over.
+        self._defs: dict = {}
 
     def boundary(self, cfg: Cfg) -> frozenset:
         return frozenset()
@@ -153,15 +162,13 @@ class ReachingDefinitions(DataflowAnalysis):
         return a | b
 
     def transfer(self, block, value: frozenset) -> frozenset:
-        defs = dict()
-        for instr in block.instrs:
-            for reg in instr.defs():
-                if self.track(reg):
-                    defs[reg] = instr.uid
-        if not defs:
-            return value
-        kept = frozenset(item for item in value if item[0] not in defs)
-        return kept | frozenset(defs.items())
+        defs = self._defs.get(block)
+        if defs is None:
+            track = self.track
+            defs = self._defs[block] = frozenset(
+                reg for instr in block.instrs for reg in instr.defs()
+                if track(reg))
+        return value | defs
 
 
 class LiveVariables(DataflowAnalysis):

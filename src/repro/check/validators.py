@@ -21,9 +21,9 @@ The checks, and the pass bugs they exist to catch:
   appear before allocation; afterwards no virtual register may
   survive.
 * :func:`check_def_before_use` -- every register use must be reachable
-  from at least one definition (reaching definitions through the
-  generic dataflow engine).  Catches a DCE/copy-prop pass deleting a
-  def whose value is still consumed.
+  from at least one definition (reaching definitions, projected to
+  registers, through the generic dataflow engine).  Catches a
+  DCE/copy-prop pass deleting a def whose value is still consumed.
 * :func:`check_liveness_consistency` -- the engine's independent
   liveness must agree with :func:`repro.ir.liveness.liveness`, which
   the allocator and trace scheduler rely on.
@@ -39,7 +39,7 @@ from typing import Optional
 from ..codegen.regalloc import AllocationResult, RegisterAllocator
 from ..ir import Cfg, find_back_edges, liveness, reverse_postorder
 from ..isa import Reg, SP
-from .dataflow import LiveVariables, ReachingDefinitions, solve
+from .dataflow import DefinedRegisters, LiveVariables, solve
 from .diagnostics import ERROR, Diagnostic
 
 
@@ -195,13 +195,11 @@ def check_def_before_use(cfg: Cfg, pass_name: str,
     else:
         def track(reg: Reg) -> bool:
             return not reg.virtual and reg is not SP
-    analysis = ReachingDefinitions(track=track)
-    reach_in, _reach_out = solve(cfg, analysis)
+    reach_in, _reach_out = solve(cfg, DefinedRegisters(track=track))
     diags: list[Diagnostic] = []
     for label in reverse_postorder(cfg):
         block = cfg.blocks[label]
-        value = reach_in.get(label, frozenset())
-        defined = {reg for reg, _uid in value}
+        defined = set(reach_in.get(label, frozenset()))
         for instr in block.instrs:
             for reg in instr.uses():
                 if not track(reg) or reg in defined:

@@ -60,14 +60,15 @@ class RegisterAllocator:
             start = position
             end = position + max(len(block.instrs) - 1, 0)
             for instr in block.instrs:
-                for reg in instr.uses() + instr.defs():
-                    if not reg.virtual:
-                        continue
-                    interval = intervals.get(reg)
-                    if interval is None:
-                        intervals[reg] = [position, position]
-                    else:
-                        interval[1] = position
+                for regs in (instr.uses(), instr.defs()):
+                    for reg in regs:
+                        if not reg.virtual:
+                            continue
+                        interval = intervals.get(reg)
+                        if interval is None:
+                            intervals[reg] = [position, position]
+                        else:
+                            interval[1] = position
                 position += 1
             for reg in live_in[block.label]:
                 if reg.virtual:
@@ -128,64 +129,87 @@ class RegisterAllocator:
                  spilled: dict[Reg, int]) -> None:
         for block in self.cfg:
             new_instrs: list[Instruction] = []
+            append = new_instrs.append
             for instr in block.instrs:
-                scratch_next = {"i": 0, "f": 0}
-                pre: list[Instruction] = []
-                post: list[Instruction] = []
-                replace: dict[Reg, Reg] = {}
-
-                def resolve_use(reg: Reg) -> Reg:
-                    if not reg.virtual:
-                        return reg
-                    if reg in replace:
-                        return replace[reg]
-                    if reg in spilled:
-                        index = scratch_next[reg.kind]
-                        if index >= len(_SCRATCH[reg.kind]):
-                            raise RuntimeError(
-                                "out of spill scratch registers")
-                        scratch_next[reg.kind] = index + 1
-                        scratch = _SCRATCH[reg.kind][index]
-                        slot = spilled[reg]
-                        op = "FLD" if reg.kind == "f" else "LD"
-                        pre.append(Instruction(
-                            op, dest=scratch, srcs=(SP,), offset=slot * 8,
-                            mem=MemRef("stack", slot), is_spill=True))
-                        replace[reg] = scratch
-                        return scratch
-                    replace[reg] = assignment[reg]
-                    return assignment[reg]
-
-                new_srcs = tuple(resolve_use(r) for r in instr.srcs)
+                srcs = instr.srcs
                 dest = instr.dest
+                if spilled and (dest in spilled
+                                or any(reg in spilled for reg in srcs)):
+                    self._rewrite_spilled(instr, assignment, spilled,
+                                          new_instrs)
+                    continue
                 if dest is not None and dest.virtual:
-                    if instr.info.reads_dest and dest in spilled:
-                        resolve_use(dest)
-                    if dest in spilled:
-                        scratch = replace.get(dest)
-                        if scratch is None:
-                            index = scratch_next[dest.kind]
-                            if index >= len(_SCRATCH[dest.kind]):
-                                # Both scratches feed sources; the dest
-                                # write happens after the reads, so
-                                # reusing the first scratch is safe.
-                                scratch = _SCRATCH[dest.kind][0]
-                            else:
-                                scratch_next[dest.kind] = index + 1
-                                scratch = _SCRATCH[dest.kind][index]
-                        slot = spilled[dest]
-                        op = "FST" if dest.kind == "f" else "ST"
-                        post.append(Instruction(
-                            op, srcs=(scratch, SP), offset=slot * 8,
-                            mem=MemRef("stack", slot), is_spill=True))
-                        dest = scratch
-                    else:
-                        dest = assignment[dest]
-
-                new_instrs.extend(pre)
-                new_instrs.append(instr.copy(dest=dest, srcs=new_srcs))
-                new_instrs.extend(post)
+                    dest = assignment[dest]
+                append(Instruction(
+                    instr.op, dest,
+                    tuple([assignment[reg] if reg.virtual else reg
+                           for reg in srcs]),
+                    instr.imm, instr.offset, instr.label, instr.mem,
+                    instr.locality, instr.group, instr.is_spill,
+                    instr.comment))
             block.instrs = new_instrs
+
+    @staticmethod
+    def _rewrite_spilled(instr: Instruction, assignment: dict[Reg, Reg],
+                         spilled: dict[Reg, int],
+                         out: list[Instruction]) -> None:
+        """Rewrite *instr*, which reads or writes a spilled register,
+        with restores before it and a spill store after it."""
+        scratch_next = {"i": 0, "f": 0}
+        pre: list[Instruction] = []
+        post: list[Instruction] = []
+        replace: dict[Reg, Reg] = {}
+
+        def resolve_use(reg: Reg) -> Reg:
+            if not reg.virtual:
+                return reg
+            if reg in replace:
+                return replace[reg]
+            if reg in spilled:
+                index = scratch_next[reg.kind]
+                if index >= len(_SCRATCH[reg.kind]):
+                    raise RuntimeError("out of spill scratch registers")
+                scratch_next[reg.kind] = index + 1
+                scratch = _SCRATCH[reg.kind][index]
+                slot = spilled[reg]
+                op = "FLD" if reg.kind == "f" else "LD"
+                pre.append(Instruction(
+                    op, dest=scratch, srcs=(SP,), offset=slot * 8,
+                    mem=MemRef("stack", slot), is_spill=True))
+                replace[reg] = scratch
+                return scratch
+            replace[reg] = assignment[reg]
+            return assignment[reg]
+
+        new_srcs = tuple(resolve_use(r) for r in instr.srcs)
+        dest = instr.dest
+        if dest is not None and dest.virtual:
+            if instr.info.reads_dest and dest in spilled:
+                resolve_use(dest)
+            if dest in spilled:
+                scratch = replace.get(dest)
+                if scratch is None:
+                    index = scratch_next[dest.kind]
+                    if index >= len(_SCRATCH[dest.kind]):
+                        # Both scratches feed sources; the dest write
+                        # happens after the reads, so reusing the first
+                        # scratch is safe.
+                        scratch = _SCRATCH[dest.kind][0]
+                    else:
+                        scratch_next[dest.kind] = index + 1
+                        scratch = _SCRATCH[dest.kind][index]
+                slot = spilled[dest]
+                op = "FST" if dest.kind == "f" else "ST"
+                post.append(Instruction(
+                    op, srcs=(scratch, SP), offset=slot * 8,
+                    mem=MemRef("stack", slot), is_spill=True))
+                dest = scratch
+            else:
+                dest = assignment[dest]
+
+        out.extend(pre)
+        out.append(instr.copy(dest=dest, srcs=new_srcs))
+        out.extend(post)
 
 
 def allocate_registers(cfg: Cfg) -> AllocationResult:

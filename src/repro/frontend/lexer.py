@@ -20,10 +20,6 @@ def tokenize(source: str) -> list[Token]:
     col = 1
     i = 0
     n = len(source)
-
-    def loc() -> SourceLocation:
-        return SourceLocation(line, col)
-
     while i < n:
         ch = source[i]
         if ch == "\n":
@@ -39,7 +35,7 @@ def tokenize(source: str) -> list[Token]:
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        start_loc = loc()
+        start_loc = SourceLocation(line, col)
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (source[j].isalnum() or source[j] == "_"):
@@ -87,5 +83,5 @@ def tokenize(source: str) -> list[Token]:
         tokens.append(Token(op, op, op, start_loc))
         i += len(op)
         col += len(op)
-    tokens.append(Token(EOF_KIND, "", None, loc()))
+    tokens.append(Token(EOF_KIND, "", None, SourceLocation(line, col)))
     return tokens

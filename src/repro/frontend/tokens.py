@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SourceLocation
 
 KEYWORDS = frozenset({
@@ -20,12 +18,21 @@ OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str          # "ident", "intlit", "floatlit", a keyword, or an operator
-    text: str
-    value: object      # int/float for literals, text otherwise
-    loc: SourceLocation
+    """One token; the lexer makes it and nothing changes it.
+
+    ``kind`` is ``"ident"``, ``"intlit"``, ``"floatlit"``, a keyword or
+    an operator; ``value`` is a literal's int/float, the text otherwise.
+    """
+
+    __slots__ = ("kind", "text", "value", "loc")
+
+    def __init__(self, kind: str, text: str, value: object,
+                 loc: SourceLocation) -> None:
+        self.kind = kind
+        self.text = text
+        self.value = value
+        self.loc = loc
 
     def __repr__(self) -> str:
         return f"Token({self.kind!r}, {self.text!r} @ {self.loc})"

@@ -18,6 +18,7 @@ from .experiment import (
     RunTiming,
     arithmetic_mean,
     attach_section,
+    config_names,
     geometric_mean,
     load_manifest,
     options_for,
@@ -47,7 +48,7 @@ __all__ = [
     "CompileResult", "Options", "compile_and_run", "compile_source",
     "make_weight_model", "run_compiled",
     "CONFIGS", "SCHEDULERS", "ExperimentRunner", "RunResult",
-    "RunTiming", "Manifest", "ManifestRun", "attach_section",
+    "config_names", "RunTiming", "Manifest", "ManifestRun", "attach_section",
     "load_manifest", "parse_manifest",
     "arithmetic_mean", "geometric_mean", "options_for",
     "build_report", "write_report",

@@ -70,6 +70,21 @@ CONFIGS: dict[str, dict] = {
 
 SCHEDULERS = ("balanced", "traditional")
 
+
+def config_names(names, command: str) -> list[str]:
+    """*names* as a list, for the CLI command *command*: an unknown
+    config exits with a one-line error naming it, before any work (or
+    manifest write) starts.  The twin of
+    :func:`repro.workloads.benchmark_names`."""
+    names = list(names)
+    unknown = [n for n in names if n not in CONFIGS]
+    if unknown:
+        raise SystemExit(
+            f"repro {command}: unknown config(s): {', '.join(unknown)} "
+            f"(known: {', '.join(CONFIGS)})")
+    return names
+
+
 #: Cache roots already swept for orphaned temp files this process.
 _REAPED_ROOTS: set[Path] = set()
 

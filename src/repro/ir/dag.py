@@ -136,6 +136,7 @@ def build_dag(instrs: list[Instruction],
     the DAG as :attr:`Dag.live_out`.
     """
     dag = Dag(instrs, live_out)
+    add_edge = dag.add_edge
     last_def: dict[Reg, int] = {}
     uses_since_def: dict[Reg, list[int]] = {}
     mem_ops: list[int] = []
@@ -151,41 +152,54 @@ def build_dag(instrs: list[Instruction],
         # Register dependences.
         for reg in instr.uses():
             if reg in last_def:
-                dag.add_edge(last_def[reg], j, TRUE)
-            uses_since_def.setdefault(reg, []).append(j)
+                add_edge(last_def[reg], j, TRUE)
+            readers = uses_since_def.get(reg)
+            if readers is None:
+                uses_since_def[reg] = [j]
+            else:
+                readers.append(j)
         for reg in instr.defs():
             if reg in last_def:
-                dag.add_edge(last_def[reg], j, OUT)
+                add_edge(last_def[reg], j, OUT)
             for reader in uses_since_def.get(reg, ()):
-                dag.add_edge(reader, j, ANTI)
+                add_edge(reader, j, ANTI)
             last_def[reg] = j
             uses_since_def[reg] = []
 
         # Memory dependences.
-        if instr.is_mem:
+        if instr.info.is_mem:
+            is_load = instr.is_load
             for i in mem_ops:
                 other = instrs[i]
-                if other.is_load and instr.is_load:
+                if is_load and other.is_load:
                     continue
                 if may_alias(other, instr):
-                    dag.add_edge(i, j, MEM)
+                    add_edge(i, j, MEM)
             mem_ops.append(j)
 
         # Locality ordering arcs: each hit load is pinned below the miss
         # load of its reuse group (paper section 4.2).
-        if instr.is_load and instr.group is not None:
+        if instr.group is not None and instr.is_load:
             if instr.locality is Locality.MISS:
                 group_miss[instr.group] = j
             elif instr.locality is Locality.HIT:
                 miss = group_miss.get(instr.group)
                 if miss is not None:
-                    dag.add_edge(miss, j, ORDER)
+                    add_edge(miss, j, ORDER)
 
-        # Control transfers inside the list (trace scheduling) are
-        # handled by the trace scheduler, which adds its own ORDER arcs;
-        # a terminator at the very end is pinned here for convenience.
-        if (instr.is_branch or instr.op == "HALT") and j == len(instrs) - 1:
-            for i in range(j):
-                dag.add_edge(i, j, ORDER)
+    # Control transfers inside the list (trace scheduling) are handled
+    # by the trace scheduler, which adds its own ORDER arcs; a
+    # terminator at the very end is pinned here for convenience.  An
+    # ORDER arc never replaces an edge, so it goes in only where the
+    # pair has none (what add_edge would do).
+    j = len(instrs) - 1
+    if j >= 0 and (instrs[j].info.is_branch or instrs[j].op == "HALT"):
+        succs = dag.succs
+        into_last = dag.preds[j]
+        for i in range(j):
+            out = succs[i]
+            if j not in out:
+                out[j] = ORDER
+                into_last[i] = ORDER
 
     return dag

@@ -19,7 +19,7 @@ import enum
 import itertools
 from typing import Iterable, Optional
 
-from .opcodes import OpInfo, opinfo
+from .opcodes import OPCODES, OpInfo
 from .registers import Reg
 
 
@@ -113,10 +113,13 @@ class Instruction:
                  locality: Locality = Locality.UNKNOWN,
                  group: Optional[int] = None,
                  is_spill: bool = False, comment: str = "") -> None:
+        info = OPCODES[op]
         self.op = op
-        self.info: OpInfo = opinfo(op)
+        self.info: OpInfo = info
         self.dest = dest
-        self.srcs = tuple(srcs)
+        if srcs.__class__ is not tuple:
+            srcs = tuple(srcs)
+        self.srcs = srcs
         self.imm = imm
         self.offset = offset
         self.label = label
@@ -126,9 +129,17 @@ class Instruction:
         self.is_spill = is_spill
         self.uid = next(_instr_ids)
         self.comment = comment
-        self._validate()
-        regs = self.srcs + (dest,) if self.info.reads_dest else self.srcs
-        self._uses = tuple([reg for reg in regs if not reg.is_zero])
+        # The common shape passes every rule of _validate; anything
+        # else gets the full check and its error message.
+        if (len(srcs) != info.nsrc or (dest is None) == info.has_dest
+                or (label is None and info.is_branch)):
+            self._validate()
+        regs = srcs + (dest,) if info.reads_dest else srcs
+        for reg in regs:
+            if reg.is_zero:
+                regs = tuple([reg for reg in regs if not reg.is_zero])
+                break
+        self._uses = regs
         self._defs = () if dest is None or dest.is_zero else (dest,)
 
     def _validate(self) -> None:

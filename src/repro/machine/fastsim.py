@@ -745,6 +745,19 @@ def _compile_blocks(gen, bindings, filename, attribution=None):
     return table
 
 
+def interpreter_reason(sim):
+    """Why *sim* needs the reference interpreter, or None when the
+    compiled engine can run it."""
+    cfg = sim.config
+    if cfg.issue_width != 1:
+        return f"issue width {cfg.issue_width}"
+    if cfg.mem_ports != 1:
+        return f"{cfg.mem_ports} memory ports"
+    if sim.profiling:
+        return "block-frequency profiling"
+    return None
+
+
 def build_engine(sim):
     """Compile *sim*'s program, or None if it needs the interpreter
     (multi-issue, several memory ports, or block-frequency profiling).
@@ -753,8 +766,7 @@ def build_engine(sim):
     stall cycle to its producer pc; without one the generated source
     is free of attribution code.
     """
-    cfg = sim.config
-    if cfg.issue_width != 1 or cfg.mem_ports != 1 or sim.profiling:
+    if interpreter_reason(sim) is not None:
         return None
     gen = _Gen(sim, attribute=sim.stall_profile is not None)
     for start, end in _block_spans(sim._decoded):

@@ -16,10 +16,13 @@ def propagate_copies(cfg: Cfg) -> int:
     rewritten = 0
     for block in cfg:
         copies: dict[Reg, Reg] = {}      # dest -> original source
+        # source -> dests once copied from it; an entry goes stale when
+        # its dest is remapped, so each is checked against *copies*.
+        copied_from: dict[Reg, list[Reg]] = {}
         new_instrs: list[Instruction] = []
         for instr in block.instrs:
             srcs = instr.srcs
-            new_srcs = tuple(copies.get(r, r) for r in srcs)
+            new_srcs = tuple([copies.get(r, r) for r in srcs])
             dest = instr.dest
             if instr.info.reads_dest and dest in copies:
                 # CMOV reads its destination: the copy cannot be
@@ -30,13 +33,14 @@ def propagate_copies(cfg: Cfg) -> int:
                 instr = instr.copy(srcs=new_srcs)
             if dest is not None:
                 copies.pop(dest, None)
-                stale = [d for d, s in copies.items() if s is dest]
-                for d in stale:
-                    del copies[d]
+                for d in copied_from.pop(dest, ()):
+                    if copies.get(d) is dest:
+                        del copies[d]
             if instr.op in ("MOV", "FMOV") and instr.dest is not None:
                 source = instr.srcs[0]
                 if source is not instr.dest:
                     copies[instr.dest] = source
+                    copied_from.setdefault(source, []).append(instr.dest)
             new_instrs.append(instr)
         block.instrs = new_instrs
     return rewritten

@@ -10,6 +10,7 @@ copies left behind by copy propagation disappear.  Runs to fixpoint.
 from __future__ import annotations
 
 from ..ir import Cfg, liveness
+from ..ir.liveness import UseDef
 from ..isa import Instruction
 
 
@@ -23,11 +24,13 @@ def eliminate_dead_code(cfg: Cfg) -> int:
 
     One backward sweep leaves a block with nothing dead under the
     live-out set it was swept with, so a later round sweeps only the
-    blocks whose live-out set has changed since."""
+    blocks whose live-out set has changed since, and liveness reuses
+    the use/def sets of every block the last round left unchanged."""
     removed_total = 0
     swept_with: dict[str, set] = {}
+    use_def: dict[str, UseDef] = {}
     while True:
-        _, live_out = liveness(cfg)
+        _, live_out = liveness(cfg, use_def)
         removed = 0
         for block in cfg:
             live = live_out[block.label]
@@ -36,19 +39,22 @@ def eliminate_dead_code(cfg: Cfg) -> int:
             swept_with[block.label] = live
             live = set(live)
             keep_reversed: list[Instruction] = []
+            swept = 0
             for instr in reversed(block.instrs):
-                defs = instr.defs()
-                if (defs and all(reg not in live for reg in defs)
+                defs = instr.defs()      # at most the destination
+                if (defs and defs[0] not in live
                         and not _has_side_effect(instr)):
-                    removed += 1
+                    swept += 1
                     continue
                 keep_reversed.append(instr)
-                for reg in defs:
-                    live.discard(reg)
-                for reg in instr.uses():
-                    live.add(reg)
-            keep_reversed.reverse()
-            block.instrs = keep_reversed
+                if defs:
+                    live.discard(defs[0])
+                live.update(instr.uses())
+            if swept:
+                keep_reversed.reverse()
+                block.instrs = keep_reversed
+                use_def.pop(block.label, None)
+                removed += swept
         removed_total += removed
         if not removed:
             return removed_total

@@ -58,30 +58,40 @@ def list_schedule_with_weights(
     preds = dag.preds
     succs = dag.succs
 
-    unscheduled_preds = [len(preds[i]) for i in range(n)]
-    pressure_delta = [len(ins.uses()) - len(ins.defs()) for ins in instrs]
+    unscheduled_preds = [len(into) for into in preds]
     # Exposure: how many successors wait on this node alone.  A
     # successor's count of unscheduled predecessors only falls, so each
     # one is credited to its last predecessor once, when it drops to 1.
     exposed = [0] * n
-    for node in range(n):
-        if unscheduled_preds[node] == 1:
-            exposed[next(iter(preds[node]))] += 1
-    scheduled = [False] * n
-    # The distinct registers each node reads: a value read twice by one
-    # instruction (``FMUL d, x, x``) dies once, when that node issues.
-    reads = [tuple(dict.fromkeys(ins.uses())) for ins in instrs]
-    ready = [i for i in range(n) if unscheduled_preds[i] == 0]
-    order: list[int] = []
-
-    # Approximate per-bank liveness: a value is live from the node that
-    # defines it until its last in-block consumer is scheduled.
+    for into in preds:
+        if len(into) == 1:
+            exposed[next(iter(into))] += 1
+    # One walk over the instructions: each node's pressure delta, the
+    # distinct registers it reads (a value read twice by one
+    # instruction, ``FMUL d, x, x``, dies once, when that node issues),
+    # and the counts behind the approximate per-bank liveness: a value
+    # is live from the node that defines it until its last in-block
+    # consumer is scheduled.
+    pressure_delta = []
+    reads = []
     remaining_uses: dict = {}
     defined = set()
-    for node, ins in enumerate(instrs):
-        for reg in reads[node]:
+    for ins in instrs:
+        uses = ins.uses()
+        defs = ins.defs()
+        pressure_delta.append(len(uses) - len(defs))
+        if len(uses) > 1 and len(set(uses)) < len(uses):
+            uses = tuple(dict.fromkeys(uses))
+        reads.append(uses)
+        for reg in uses:
             remaining_uses[reg] = remaining_uses.get(reg, 0) + 1
-        defined.update(ins.defs())
+        defined.update(defs)
+    # Each node's tie-break key after the pressure probe; only its
+    # exposure changes, so the key is rebuilt only then.
+    keys = list(zip(prio, pressure_delta, exposed, range(0, -n, -1)))
+    scheduled = [False] * n
+    ready = [node for node, into in enumerate(preds) if not into]
+    order: list[int] = []
     live = {"i": 0, "f": 0}
     for reg in remaining_uses:
         if reg not in defined:            # live into the block
@@ -100,10 +110,11 @@ def list_schedule_with_weights(
 
     while ready:
         # The probe can say True only while some bank is at the limit.
-        hot = live["i"] >= pressure_limit or live["f"] >= pressure_limit
-        best = max(ready, key=lambda node: (
-            not (hot and grows_hot_bank(node)), prio[node],
-            pressure_delta[node], exposed[node], -node))
+        if live["i"] >= pressure_limit or live["f"] >= pressure_limit:
+            best = max(ready, key=lambda node: (not grows_hot_bank(node),
+                                                keys[node]))
+        else:
+            best = max(ready, key=keys.__getitem__)
         ready.remove(best)
         order.append(best)
         scheduled[best] = True
@@ -124,6 +135,8 @@ def list_schedule_with_weights(
                 for pred in preds[succ]:
                     if not scheduled[pred]:
                         exposed[pred] += 1
+                        keys[pred] = (prio[pred], pressure_delta[pred],
+                                      exposed[pred], -pred)
                         break
 
     if len(order) != n:

@@ -147,17 +147,9 @@ class BalancedWeights(WeightModel):
         for node in loads:
             load_mask_bits |= 1 << node
 
-        # reach_into[j] = mask of nodes that reach j; derive from reach.
-        reach_into = [0] * n
-        for i in range(n):
-            ri = reach[i]
-            bit = 1 << i
-            j = ri
-            while j:
-                low = j & -j
-                reach_into[low.bit_length() - 1] |= bit
-                j ^= low
-        component_cache: dict[int, list[list[int]]] = {}
+        reach_into = reaching_into(dag)
+        # Each independent-load mask's (load position, share) pairs.
+        share_cache: dict[int, list[tuple[int, float]]] = {}
 
         for i in range(n):
             if i in load_pos:
@@ -181,14 +173,15 @@ class BalancedWeights(WeightModel):
                     contribution[load_pos[low.bit_length() - 1]] += share
                     m ^= low
                 continue
-            components = component_cache.get(indep_mask)
-            if components is None:
-                components = _comparability_components(indep_mask, reach)
-                component_cache[indep_mask] = components
-            for component in components:
-                share = 1.0 / len(component)
-                for node in component:
-                    contribution[load_pos[node]] += share
+            shares = share_cache.get(indep_mask)
+            if shares is None:
+                shares = share_cache[indep_mask] = [
+                    (load_pos[node], 1.0 / len(component))
+                    for component in _comparability_components(
+                        indep_mask, reach, reach_into)
+                    for node in component]
+            for pos, share in shares:
+                contribution[pos] += share
 
         floor = float(self.config.load_hit_latency)
         for pos, node in enumerate(loads):
@@ -244,37 +237,48 @@ class BalancedWeights(WeightModel):
                 return
 
 
-def _comparability_components(mask: int, reach: list[int]) -> list[list[int]]:
+def reaching_into(dag: Dag) -> list[int]:
+    """``into[j]`` = bitmask of the nodes that reach ``j`` (excl. j).
+
+    The mirror of :meth:`Dag.reachability`, in one forward pass over
+    the predecessors: every edge goes forward in program order, so a
+    node's predecessors are final before the node is."""
+    into = [0] * len(dag.instrs)
+    for j, preds in enumerate(dag.preds):
+        mask = 0
+        for i in preds:
+            mask |= into[i] | (1 << i)
+        into[j] = mask
+    return into
+
+
+def _comparability_components(mask: int, reach: list[int],
+                              reach_into: list[int]) -> list[list[int]]:
     """Connected components of the comparability graph over ``mask``.
 
     Two nodes are adjacent when a dependence path joins them (one
     reaches the other); components group loads that are (transitively)
     in series and therefore compete for the same hiding instructions.
+    A component grows from its lowest node by bitmask: a node's
+    neighbours are the nodes of ``mask`` it reaches or is reached from.
+    Components come in order of their lowest node, each node list
+    ascending.
     """
-    nodes: list[int] = []
-    m = mask
-    while m:
-        low = m & -m
-        nodes.append(low.bit_length() - 1)
-        m ^= low
-
-    parent = {node: node for node in nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for idx, a in enumerate(nodes):
-        reach_a = reach[a]
-        for b in nodes[idx + 1:]:
-            if (reach_a >> b) & 1:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-
-    groups: dict[int, list[int]] = {}
-    for node in nodes:
-        groups.setdefault(find(node), []).append(node)
-    return list(groups.values())
+    components: list[list[int]] = []
+    while mask:
+        component = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            node = low.bit_length() - 1
+            new = (reach[node] | reach_into[node]) & mask & ~component
+            component |= new
+            frontier |= new
+        mask &= ~component
+        nodes: list[int] = []
+        while component:
+            low = component & -component
+            nodes.append(low.bit_length() - 1)
+            component ^= low
+        components.append(nodes)
+    return components

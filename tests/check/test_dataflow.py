@@ -1,8 +1,14 @@
 """The generic dataflow engine and its two shipped analyses."""
 
-from repro.check import LiveVariables, ReachingDefinitions, solve
+import pytest
+
+from repro.check import (DataflowAnalysis, DefinedRegisters, LiveVariables,
+                         solve)
+from repro.harness import options_for
+from repro.harness.compile import lower_source
 from repro.ir import BasicBlock, Cfg, liveness
 from repro.isa import Instruction, Reg
+from repro.workloads import WORKLOAD_ORDER, WORKLOADS
 
 
 def v(i):
@@ -44,36 +50,74 @@ def loop() -> Cfg:
     return cfg
 
 
-def test_reaching_definitions_diamond_merges_both_defs():
+class RefReachingDefinitions(DataflowAnalysis):
+    """Reaching definitions over ``(reg, uid)`` sites, the analysis the
+    def-before-use check ran before it asked only for registers."""
+
+    direction = "forward"
+
+    def boundary(self, cfg):
+        return frozenset()
+
+    def meet(self, a, b):
+        return a | b
+
+    def transfer(self, block, value):
+        defs = {}
+        for instr in block.instrs:
+            for reg in instr.defs():
+                defs[reg] = instr.uid
+        if not defs:
+            return value
+        kept = frozenset(item for item in value if item[0] not in defs)
+        return kept | frozenset(defs.items())
+
+
+def projected(solution):
+    return {label: frozenset(reg for reg, _uid in sites)
+            for label, sites in solution.items()}
+
+
+def test_defined_registers_diamond_merges_both_arms():
     cfg = diamond()
-    value_in, _ = solve(cfg, ReachingDefinitions())
-    end_defs = {reg for reg, _uid in value_in["end"]}
-    assert v(0) in end_defs
-    assert v(1) in end_defs
-    # Both arms' definitions of v1 reach the join (may-analysis).
-    v1_sites = [uid for reg, uid in value_in["end"] if reg == v(1)]
-    assert len(v1_sites) == 2
+    value_in, value_out = solve(cfg, DefinedRegisters())
+    assert value_in["end"] == {v(0), v(1)}
+    assert value_in["end"] == value_out["then"] | value_out["else"]
 
 
-def test_reaching_definitions_kill_within_block():
+def test_defined_registers_redefinition_keeps_the_register():
+    # Reaching definitions would kill the first site; the register is
+    # defined either way.
     cfg = Cfg(entry="entry")
-    first = ldi(0, 1)
-    second = ldi(0, 2)
-    cfg.add_block(BasicBlock("entry", [first, second],
+    cfg.add_block(BasicBlock("entry", [ldi(0, 1), ldi(0, 2)],
                              fallthrough="end"))
     cfg.add_block(BasicBlock("end", [Instruction("HALT")]))
-    _, value_out = solve(cfg, ReachingDefinitions())
-    assert (v(0), second.uid) in value_out["entry"]
-    assert (v(0), first.uid) not in value_out["entry"]
+    value_in, value_out = solve(cfg, DefinedRegisters())
+    assert value_in["entry"] == frozenset()
+    assert value_out["entry"] == {v(0)}
+    assert value_in["end"] == {v(0)}
 
 
-def test_reaching_definitions_loop_carried():
+def test_defined_registers_loop_carried():
     cfg = loop()
-    value_in, _ = solve(cfg, ReachingDefinitions())
-    # Both the preheader def of v1 and the loop's own redefinition
-    # reach the loop entry.
-    v1_sites = [uid for reg, uid in value_in["loop"] if reg == v(1)]
-    assert len(v1_sites) == 2
+    value_in, value_out = solve(cfg, DefinedRegisters())
+    # The loop's own definition of v1 flows around the back edge.
+    assert value_in["loop"] == {v(0), v(1)}
+    assert value_out["loop"] == {v(0), v(1)}
+    only_loop = DefinedRegisters(track=lambda reg: reg == v(1))
+    assert solve(cfg, only_loop)[0]["exit"] == {v(1)}
+
+
+@pytest.mark.parametrize("name", WORKLOAD_ORDER)
+def test_defined_registers_project_reaching_definitions(name):
+    """On every lowered workload, the solution is the registers of the
+    ``(reg, uid)`` reaching-definitions solution, block for block."""
+    options = options_for("balanced", "lu4")
+    cfg, _, _ = lower_source(WORKLOADS[name].source, options, name)
+    ref_in, ref_out = solve(cfg, RefReachingDefinitions())
+    value_in, value_out = solve(cfg, DefinedRegisters())
+    assert value_in == projected(ref_in)
+    assert value_out == projected(ref_out)
 
 
 def test_live_variables_agrees_with_ir_liveness():
@@ -88,6 +132,6 @@ def test_live_variables_agrees_with_ir_liveness():
 def test_solver_skips_unreachable_blocks():
     cfg = diamond()
     cfg.add_block(BasicBlock("orphan", [Instruction("HALT")]))
-    value_in, value_out = solve(cfg, ReachingDefinitions())
+    value_in, value_out = solve(cfg, DefinedRegisters())
     assert "orphan" not in value_in
     assert "orphan" not in value_out

@@ -47,6 +47,18 @@ def test_run_with_flags(source_file, capsys):
     assert "cycles" in capsys.readouterr().out
 
 
+def test_run_names_the_interpreter_fallback(source_file, capsys):
+    # Only the single-issue machine runs on the fast engine; a wider one
+    # falls back to the interpreter, and says so on stderr.
+    assert main(["run", source_file, "--issue-width", "2"]) == 0
+    err = capsys.readouterr().err
+    assert ("repro run: reference interpreter, not the fast engine: "
+            "issue width 2") in err
+    assert len(err.strip().splitlines()) == 1
+    assert main(["run", source_file]) == 0
+    assert "interpreter" not in capsys.readouterr().err
+
+
 def test_workloads_listing(capsys):
     assert main(["workloads"]) == 0
     out = capsys.readouterr().out

@@ -41,7 +41,8 @@ def test_run_check_no_lint_suppresses_notes(capsys):
 def test_run_check_rejects_unknown_names():
     with pytest.raises(SystemExit):
         run_check(names=["nope"])
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit,
+                       match=r"^repro check: unknown config\(s\): nope"):
         run_check(names=["ora"], configs=["nope"])
 
 

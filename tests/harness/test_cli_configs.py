@@ -13,7 +13,7 @@ from repro.harness import ExperimentRunner
 
 
 def _args(configs):
-    return argparse.Namespace(configs=configs)
+    return argparse.Namespace(configs=configs, command="bench")
 
 
 def test_comma_and_space_separated_forms():
@@ -32,7 +32,8 @@ def test_unset_means_no_filter():
 
 
 def test_unknown_config_rejected():
-    with pytest.raises(SystemExit, match="unknown config"):
+    with pytest.raises(SystemExit,
+                       match=r"^repro bench: unknown config\(s\): bogus"):
         _resolve_configs(_args(["bogus"]))
 
 

@@ -1,4 +1,14 @@
-"""Property tests: affine forms agree with direct evaluation."""
+"""Property tests: affine forms agree with direct evaluation.
+
+``AffineForm`` is a slotted class whose ``scale(1)`` returns the form
+itself and whose ``add`` skips the merge when one side is constant.
+``RefAffineForm`` below is the frozen dataclass it replaced; forms built
+by the same operations in both must have the same ``coeffs`` and
+``const``, compare equal exactly when the reference forms do, and hash
+alike.
+"""
+
+from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,3 +84,72 @@ def test_affine_of_matches_python_eval(text, env):
     form = affine_of(expr)
     assert form is not None
     assert evaluate(form, env) == eval(text, {}, dict(env))  # noqa: S307
+
+
+@dataclass(frozen=True)
+class RefAffineForm:
+    """The frozen dataclass ``AffineForm`` was."""
+
+    coeffs: tuple = ()
+    const: int = 0
+
+    @staticmethod
+    def constant(value):
+        return RefAffineForm((), value)
+
+    @staticmethod
+    def variable(name):
+        return RefAffineForm(((name, 1),), 0)
+
+    def add(self, other, sign=1):
+        coeffs = dict(self.coeffs)
+        for name, c in other.coeffs:
+            coeffs[name] = coeffs.get(name, 0) + sign * c
+        return RefAffineForm(
+            tuple(sorted((n, c) for n, c in coeffs.items() if c != 0)),
+            self.const + sign * other.const)
+
+    def scale(self, factor):
+        if factor == 0:
+            return RefAffineForm.constant(0)
+        return RefAffineForm(
+            tuple(sorted((n, c * factor) for n, c in self.coeffs)),
+            self.const * factor)
+
+
+#: One step of a form program: make a constant or a variable, or add,
+#: subtract or scale forms made by earlier steps.
+steps = st.one_of(
+    st.tuples(st.just("constant"), st.integers(-9, 9)),
+    st.tuples(st.just("variable"), st.sampled_from(NAMES)),
+    st.tuples(st.just("add"), st.integers(0, 99), st.integers(0, 99),
+              st.sampled_from((1, -1))),
+    st.tuples(st.just("scale"), st.integers(0, 99), st.integers(-3, 3)))
+
+
+def run_steps(cls, program):
+    forms = [cls.constant(0)]
+    for step in program:
+        if step[0] == "constant":
+            forms.append(cls.constant(step[1]))
+        elif step[0] == "variable":
+            forms.append(cls.variable(step[1]))
+        elif step[0] == "add":
+            a, b = forms[step[1] % len(forms)], forms[step[2] % len(forms)]
+            forms.append(a.add(b, step[3]))
+        else:
+            forms.append(forms[step[1] % len(forms)].scale(step[2]))
+    return forms
+
+
+@given(st.lists(steps, max_size=25))
+@settings(max_examples=300, deadline=None)
+def test_forms_match_the_frozen_dataclass(program):
+    forms = run_steps(AffineForm, program)
+    refs = run_steps(RefAffineForm, program)
+    assert [(f.coeffs, f.const) for f in forms] == \
+        [(r.coeffs, r.const) for r in refs]
+    for form, ref in zip(forms, refs):
+        assert hash(form) == hash(ref)
+        for other, other_ref in zip(forms, refs):
+            assert (form == other) == (ref == other_ref)

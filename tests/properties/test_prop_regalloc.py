@@ -10,6 +10,14 @@ back edge, over more integer and FP virtual registers than a bank
 holds, so intervals spill, steal registers and end together at block
 boundaries.  Both must return the same assignment, spill slots and
 rewritten code.
+
+``RegisterAllocator._rewrite`` builds each rewritten instruction with
+one constructor call and sets up spill scratch state only for an
+instruction that reads or writes a spilled register.  ``ref_rewrite``
+is the rewrite as it was, which defined a closure and built the
+scratch state for every instruction and copied each one through
+``Instruction.copy``; on the same CFGs, with and without spills, both
+must emit the same instructions, field for field.
 """
 
 from hypothesis import given, settings
@@ -17,11 +25,12 @@ from hypothesis import strategies as st
 
 from repro.codegen.regalloc import (
     N_ALLOCATABLE,
+    SPILL_SCRATCH,
     AllocationResult,
     RegisterAllocator,
 )
 from repro.ir import BasicBlock, Cfg
-from repro.isa import ZERO, Instruction, MemRef, Reg
+from repro.isa import SP, ZERO, Instruction, Locality, MemRef, Reg
 
 
 class RefAllocator(RegisterAllocator):
@@ -69,6 +78,72 @@ class RefAllocator(RegisterAllocator):
                                 n_slots=slots)
 
 
+def ref_rewrite(self, assignment, spilled):
+    """The rewrite with a closure and scratch state per instruction."""
+    for block in self.cfg:
+        new_instrs = []
+        for instr in block.instrs:
+            scratch_next = {"i": 0, "f": 0}
+            pre = []
+            post = []
+            replace = {}
+
+            def resolve_use(reg):
+                if not reg.virtual:
+                    return reg
+                if reg in replace:
+                    return replace[reg]
+                if reg in spilled:
+                    index = scratch_next[reg.kind]
+                    if index >= len(SPILL_SCRATCH[reg.kind]):
+                        raise RuntimeError("out of spill scratch registers")
+                    scratch_next[reg.kind] = index + 1
+                    scratch = SPILL_SCRATCH[reg.kind][index]
+                    slot = spilled[reg]
+                    op = "FLD" if reg.kind == "f" else "LD"
+                    pre.append(Instruction(
+                        op, dest=scratch, srcs=(SP,), offset=slot * 8,
+                        mem=MemRef("stack", slot), is_spill=True))
+                    replace[reg] = scratch
+                    return scratch
+                replace[reg] = assignment[reg]
+                return assignment[reg]
+
+            new_srcs = tuple(resolve_use(r) for r in instr.srcs)
+            dest = instr.dest
+            if dest is not None and dest.virtual:
+                if instr.info.reads_dest and dest in spilled:
+                    resolve_use(dest)
+                if dest in spilled:
+                    scratch = replace.get(dest)
+                    if scratch is None:
+                        index = scratch_next[dest.kind]
+                        if index >= len(SPILL_SCRATCH[dest.kind]):
+                            scratch = SPILL_SCRATCH[dest.kind][0]
+                        else:
+                            scratch_next[dest.kind] = index + 1
+                            scratch = SPILL_SCRATCH[dest.kind][index]
+                    slot = spilled[dest]
+                    op = "FST" if dest.kind == "f" else "ST"
+                    post.append(Instruction(
+                        op, srcs=(scratch, SP), offset=slot * 8,
+                        mem=MemRef("stack", slot), is_spill=True))
+                    dest = scratch
+                else:
+                    dest = assignment[dest]
+
+            new_instrs.extend(pre)
+            new_instrs.append(instr.copy(dest=dest, srcs=new_srcs))
+            new_instrs.extend(post)
+        block.instrs = new_instrs
+
+
+class RefRewriteAllocator(RegisterAllocator):
+    """The allocator with the rewrite as it was."""
+
+    _rewrite = ref_rewrite
+
+
 INTS = [Reg("i", k, virtual=True) for k in range(36)]
 FPS = [Reg("f", k, virtual=True) for k in range(36)]
 
@@ -93,7 +168,11 @@ def instructions(draw):
         return Instruction("CVTIF", dest=draw(f_reg), srcs=(draw(i_reg),))
     if shape == "FLD":
         return Instruction("FLD", dest=draw(f_reg), srcs=(draw(i_reg),),
-                           mem=MemRef("data", "A"))
+                           offset=draw(st.sampled_from((0, 8))),
+                           mem=MemRef("data", "A"),
+                           locality=draw(st.sampled_from(tuple(Locality))),
+                           group=draw(st.sampled_from((None, 1))),
+                           comment=draw(st.sampled_from(("", "reuse"))))
     if shape == "FST":
         return Instruction("FST", srcs=(draw(f_reg), draw(i_reg)),
                            mem=MemRef("data", "A"))
@@ -150,6 +229,50 @@ def allocate(allocator_class, spec):
 @given(cfg_specs())
 def test_allocation_matches_the_reference(spec):
     assert allocate(RegisterAllocator, spec) == allocate(RefAllocator, spec)
+
+
+def fields(instr):
+    """Every field of *instr* but its uid (a spill slot's ``MemRef`` is
+    new in both rewrites, so memory references compare by value)."""
+    return {"op": instr.op, "dest": instr.dest, "srcs": instr.srcs,
+            "imm": instr.imm, "offset": instr.offset, "label": instr.label,
+            "mem": repr(instr.mem), "locality": instr.locality,
+            "group": instr.group, "is_spill": instr.is_spill,
+            "comment": instr.comment, "uses": instr.uses(),
+            "defs": instr.defs()}
+
+
+def rewrite(allocator_class, spec):
+    cfg = build(spec)
+    result = allocator_class(cfg).allocate()
+    return result, [fields(instr) for block in cfg for instr in block.instrs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg_specs())
+def test_rewrite_matches_the_reference(spec):
+    assert rewrite(RegisterAllocator, spec) == \
+        rewrite(RefRewriteAllocator, spec)
+
+
+def test_rewrite_matches_the_reference_with_and_without_spills():
+    few = (3, [[Instruction("FMUL", dest=FPS[0], srcs=(FPS[1], FPS[2]))]],
+           [2, 0, 1], 0, INTS[0])
+    result, code = rewrite(RegisterAllocator, few)
+    assert result.n_slots == 0
+    assert (result, code) == rewrite(RefRewriteAllocator, few)
+    # Every value is live around the loop and the FMULs chain them, so
+    # some instruction reads a spilled register and writes another.
+    body = [Instruction("FMUL", dest=FPS[k], srcs=(FPS[k + 1], FPS[k + 2]))
+            for k in range(len(FPS) - 2)]
+    many = (len(INTS), [body], list(range(len(INTS))), 0, INTS[0])
+    result, code = rewrite(RegisterAllocator, many)
+    assert result.n_slots > 0
+    assert any(ins.dest in result.spilled
+               and any(reg in result.spilled for reg in ins.srcs)
+               for ins in body)
+    assert any(instr["is_spill"] for instr in code)
+    assert (result, code) == rewrite(RefRewriteAllocator, many)
 
 
 def test_equal_ends_match_the_reference():

@@ -26,35 +26,42 @@ def mask_of(*nodes):
     return value
 
 
+def components_of(mask, reach):
+    """Components over *mask* of the DAG whose reach masks are *reach*."""
+    reach_into = [mask_of(*(i for i, r in enumerate(reach) if r >> j & 1))
+                  for j in range(len(reach))]
+    return _comparability_components(mask, reach, reach_into)
+
+
 class TestComparabilityComponents:
     def test_isolated_nodes_are_singletons(self):
         reach = [0, 0, 0]
-        components = _comparability_components(mask_of(0, 1, 2), reach)
+        components = components_of(mask_of(0, 1, 2), reach)
         assert sorted(map(sorted, components)) == [[0], [1], [2]]
 
     def test_direct_chain_is_one_component(self):
         # 0 -> 1 -> 2 (reach is transitive).
         reach = [mask_of(1, 2), mask_of(2), 0]
-        components = _comparability_components(mask_of(0, 1, 2), reach)
+        components = components_of(mask_of(0, 1, 2), reach)
         assert sorted(map(sorted, components)) == [[0, 1, 2]]
 
     def test_transitive_connection_through_member(self):
         # 0 -> 1 and 0 -> 2: 1 and 2 incomparable but share component
         # via 0 (comparability graph connectivity).
         reach = [mask_of(1, 2), 0, 0]
-        components = _comparability_components(mask_of(0, 1, 2), reach)
+        components = components_of(mask_of(0, 1, 2), reach)
         assert sorted(map(sorted, components)) == [[0, 1, 2]]
 
     def test_mask_restricts_membership(self):
         reach = [mask_of(1, 2), mask_of(2), 0]
-        components = _comparability_components(mask_of(0, 2), reach)
+        components = components_of(mask_of(0, 2), reach)
         # Only nodes 0 and 2 participate; still connected (0 reaches 2).
         assert sorted(map(sorted, components)) == [[0, 2]]
 
     def test_two_separate_chains(self):
         # 0 -> 1, 2 -> 3.
         reach = [mask_of(1), 0, mask_of(3), 0]
-        components = _comparability_components(mask_of(0, 1, 2, 3), reach)
+        components = components_of(mask_of(0, 1, 2, 3), reach)
         assert sorted(map(sorted, components)) == [[0, 1], [2, 3]]
 
 

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
 
 from ..frontend import ast
-from ..opt.astutils import assigned_names, clone_stmt
+from ..opt.astutils import assigned_names, clone_stmt, rewrite_loops
 from ..opt.unroll import (
     CanonicalLoop,
     canonicalize,
@@ -38,7 +37,7 @@ from ..opt.unroll import (
     is_innermost,
     unroll_loop,
 )
-from .affine import AffineForm, flatten_subscript
+from .affine import flatten_subscript
 
 ELEMENTS_PER_LINE = 4     # 32-byte lines / 8-byte elements (paper 3.3)
 #: Locality analysis unrolls by the line-geometry factor regardless of
@@ -71,51 +70,43 @@ class LocalityStats:
     marked_misses: int = 0
 
 
-def walk_load_refs(stmt: ast.Stmt) -> Iterator[ast.ArrayIndex]:
-    """All ArrayIndex *loads* in deterministic order.
+def walk_load_refs(stmt: ast.Stmt) -> list[ast.ArrayIndex]:
+    """All ArrayIndex *loads* under *stmt*, in deterministic order.
 
     An ArrayIndex in expression position is a load; an assignment
     target is a store (skipped), though loads inside its subscripts are
-    yielded.
+    collected, after the assigned value's (reuse-group ids follow this
+    order).  Loop headers and ``return`` values are not searched.
+    Everything else follows :data:`ast.CHILDREN` in :func:`ast.walk`
+    order.
     """
+    refs: list[ast.ArrayIndex] = []
 
-    def from_expr(expr: ast.Expr) -> Iterator[ast.ArrayIndex]:
-        if isinstance(expr, ast.ArrayIndex):
-            yield expr
-            for index in expr.indices:
-                yield from from_expr(index)
-        elif isinstance(expr, ast.BinOp):
-            yield from from_expr(expr.left)
-            yield from from_expr(expr.right)
-        elif isinstance(expr, (ast.UnaryOp, ast.Cast)):
-            yield from from_expr(expr.operand)
-        elif isinstance(expr, ast.Call):
-            for arg in expr.args:
-                yield from from_expr(arg)
-        elif isinstance(expr, ast.Select):
-            yield from from_expr(expr.cond)
-            yield from from_expr(expr.if_true)
-            yield from from_expr(expr.if_false)
+    def visit(node) -> None:
+        cls = type(node)
+        if cls is ast.Assign:
+            visit(node.value)
+            if type(node.target) is ast.ArrayIndex:
+                for index in node.target.indices:
+                    visit(index)
+            return
+        if cls is ast.For or cls is ast.While:
+            visit(node.body)
+            return
+        if cls is ast.Return:
+            return
+        if cls is ast.ArrayIndex:
+            refs.append(node)
+        for name in ast.CHILDREN[cls]:
+            child = getattr(node, name)
+            if type(child) is list:
+                for item in child:
+                    visit(item)
+            elif child is not None:
+                visit(child)
 
-    if isinstance(stmt, ast.Block):
-        for child in stmt.statements:
-            yield from walk_load_refs(child)
-    elif isinstance(stmt, ast.Assign):
-        yield from from_expr(stmt.value)
-        if isinstance(stmt.target, ast.ArrayIndex):
-            for index in stmt.target.indices:
-                yield from from_expr(index)
-    elif isinstance(stmt, ast.If):
-        yield from from_expr(stmt.cond)
-        yield from walk_load_refs(stmt.then_body)
-        if stmt.else_body is not None:
-            yield from walk_load_refs(stmt.else_body)
-    elif isinstance(stmt, (ast.While, ast.For)):
-        yield from walk_load_refs(stmt.body)
-    elif isinstance(stmt, ast.ExprStmt):
-        yield from from_expr(stmt.expr)
-    elif isinstance(stmt, ast.VarDecl) and stmt.init is not None:
-        yield from from_expr(stmt.init)
+    visit(stmt)
+    return refs
 
 
 class LocalityAnalyzer:
@@ -132,30 +123,8 @@ class LocalityAnalyzer:
     # -------------------------------------------------------------- driver
     def run(self) -> LocalityStats:
         for func in self.program.functions:
-            func.body = self._block(func.body)
+            func.body = rewrite_loops(func.body, self._loop)
         return self.stats
-
-    def _block(self, block: ast.Block) -> ast.Block:
-        block.statements = [self._stmt(s) for s in block.statements]
-        return block
-
-    def _stmt(self, stmt: ast.Stmt) -> ast.Stmt:
-        if isinstance(stmt, ast.Block):
-            return self._block(stmt)
-        if isinstance(stmt, ast.If):
-            stmt.then_body = self._block(stmt.then_body)
-            if stmt.else_body is not None:
-                stmt.else_body = self._block(stmt.else_body)
-            return stmt
-        if isinstance(stmt, ast.While):
-            stmt.body = self._block(stmt.body)
-            return stmt
-        if isinstance(stmt, ast.For):
-            stmt.body = self._block(stmt.body)
-            if is_innermost(stmt):
-                return self._loop(stmt)
-            return stmt
-        return stmt
 
     # ------------------------------------------------------ classification
     def _classify(self, ref: ast.ArrayIndex, ivar: str,
@@ -181,6 +150,8 @@ class LocalityAnalyzer:
 
     # ------------------------------------------------------------ the loop
     def _loop(self, loop: ast.For) -> ast.Stmt:
+        if not is_innermost(loop):
+            return loop
         self.stats.loops_seen += 1
         canon = canonicalize(loop)
         if canon is None or canon.step != 1:

@@ -21,6 +21,7 @@ threshold 0.
 
 from __future__ import annotations
 
+from ..check.boundary import _NullValidator
 from ..check.lints import lint_loop_analysis
 from ..ir.cfg import Cfg
 from ..ir.loops import find_loops
@@ -33,39 +34,16 @@ from .pressure import BANKS, cfg_pressure, over_budget
 ANALYSIS_SCHEMA_VERSION = 1
 
 
-class _PreRegallocSnapshot:
-    """Minimal pipeline-validator stand-in that captures the scheduled,
+class _PreRegallocSnapshot(_NullValidator):
+    """The null validator with one hook: it captures the scheduled,
     pre-regalloc CFG (virtual registers, so MAXLIVE is meaningful)."""
 
-    def __init__(self) -> None:
-        self.cfg: Cfg | None = None
-
-    def lint_source(self, program_ast) -> None:
-        pass
-
-    def after_pass(self, cfg: Cfg, pass_name: str) -> None:
-        pass
-
-    def before_schedule(self, cfg: Cfg) -> None:
-        pass
-
-    def after_schedule(self, cfg: Cfg, pass_name: str,
-                       mode: str) -> None:
-        pass
-
-    def before_swp(self, cfg: Cfg) -> None:
-        pass
-
-    def after_swp(self, cfg: Cfg) -> None:
-        pass
+    cfg: Cfg | None = None
 
     def before_regalloc(self, cfg: Cfg) -> None:
         import copy
 
         self.cfg = copy.deepcopy(cfg)
-
-    def after_regalloc(self, cfg: Cfg, allocation) -> None:
-        pass
 
 
 def _loop_reports(cfg: Cfg, pressure: dict[str, dict[str, int]],

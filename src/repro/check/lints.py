@@ -44,95 +44,25 @@ from ..ir import Cfg
 from .diagnostics import NOTE, WARNING, Diagnostic
 
 
-# ------------------------------------------------------------- AST walks
-def _walk_exprs(node):
-    """Yield every expression node under *node* (statement or expr)."""
-    if node is None:
-        return
-    if isinstance(node, ast.Expr):
-        yield node
-        if isinstance(node, ast.BinOp):
-            yield from _walk_exprs(node.left)
-            yield from _walk_exprs(node.right)
-        elif isinstance(node, (ast.UnaryOp, ast.Cast)):
-            yield from _walk_exprs(node.operand)
-        elif isinstance(node, ast.ArrayIndex):
-            for index in node.indices:
-                yield from _walk_exprs(index)
-        elif isinstance(node, ast.Call):
-            for arg in node.args:
-                yield from _walk_exprs(arg)
-        elif isinstance(node, ast.Select):
-            for sub in (node.cond, node.if_true, node.if_false):
-                yield from _walk_exprs(sub)
-        return
-    # Statements.
-    if isinstance(node, ast.Block):
-        for stmt in node.statements:
-            yield from _walk_exprs(stmt)
-    elif isinstance(node, ast.Assign):
-        # The *target* of a scalar assignment is a write, not a read;
-        # array-index targets read their subscripts.
-        if isinstance(node.target, ast.ArrayIndex):
-            for index in node.target.indices:
-                yield from _walk_exprs(index)
-        yield from _walk_exprs(node.value)
-    elif isinstance(node, ast.If):
-        yield from _walk_exprs(node.cond)
-        yield from _walk_exprs(node.then_body)
-        yield from _walk_exprs(node.else_body)
-    elif isinstance(node, ast.While):
-        yield from _walk_exprs(node.cond)
-        yield from _walk_exprs(node.body)
-    elif isinstance(node, ast.For):
-        yield from _walk_exprs(node.init)
-        yield from _walk_exprs(node.cond)
-        yield from _walk_exprs(node.step)
-        yield from _walk_exprs(node.body)
-    elif isinstance(node, ast.Return):
-        yield from _walk_exprs(node.value)
-    elif isinstance(node, ast.ExprStmt):
-        yield from _walk_exprs(node.expr)
-    elif isinstance(node, ast.VarDecl):
-        yield from _walk_exprs(node.init)
-
-
-def _walk_stmts(node):
-    """Yield every statement node under *node*, including itself."""
-    if node is None:
-        return
-    yield node
-    if isinstance(node, ast.Block):
-        for stmt in node.statements:
-            yield from _walk_stmts(stmt)
-    elif isinstance(node, ast.If):
-        yield from _walk_stmts(node.then_body)
-        yield from _walk_stmts(node.else_body)
-    elif isinstance(node, (ast.While, ast.For)):
-        yield from _walk_stmts(node.body)
-
-
 def lint_ast(program: ast.ProgramAST) -> list[Diagnostic]:
     """Source-level lints over an analyzed program."""
     diags: list[Diagnostic] = []
     for func in program.functions:
-        reads: set[str] = set()
-        for expr in _walk_exprs(func.body):
-            if isinstance(expr, ast.Name):
-                reads.add(expr.ident)
+        nodes = ast.walk(func.body)
+        # Every name is a read except a scalar assignment's target (an
+        # array target's subscripts are reads).
+        targets = {id(node.target) for node in nodes
+                   if type(node) is ast.Assign}
+        reads = {node.ident for node in nodes
+                 if type(node) is ast.Name and id(node) not in targets}
         declared: dict[str, ast.VarDecl] = {}
         assigns: dict[str, list] = {}
-        for stmt in _walk_stmts(func.body):
-            if isinstance(stmt, ast.VarDecl):
-                declared[stmt.name] = stmt
-            elif isinstance(stmt, ast.Assign) and \
-                    isinstance(stmt.target, ast.Name):
-                assigns.setdefault(stmt.target.ident, []).append(stmt)
-            elif isinstance(stmt, ast.For):
-                for part in (stmt.init, stmt.step):
-                    if isinstance(part.target, ast.Name):
-                        assigns.setdefault(part.target.ident,
-                                           []).append(part)
+        for node in nodes:
+            if type(node) is ast.VarDecl:
+                declared[node.name] = node
+            elif type(node) is ast.Assign and \
+                    type(node.target) is ast.Name:
+                assigns.setdefault(node.target.ident, []).append(node)
         for param in func.params:
             if param.name not in reads and param.name not in assigns:
                 diags.append(Diagnostic(

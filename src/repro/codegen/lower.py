@@ -113,30 +113,14 @@ class Lowerer:
         self.cfg.data_size = _align(address, LINE_BYTES)
 
     def _assigned_globals(self) -> set[str]:
+        """Globals some assignment writes.  Unlike
+        :func:`~repro.opt.astutils.assigned_names`, a ``var``
+        declaration does not count: it declares a local."""
         global_names = {g.name for g in self.program.globals}
-        assigned: set[str] = set()
-
-        def visit(stmt: ast.Stmt) -> None:
-            if isinstance(stmt, ast.Block):
-                for child in stmt.statements:
-                    visit(child)
-            elif isinstance(stmt, ast.Assign):
-                if isinstance(stmt.target, ast.Name):
-                    assigned.add(stmt.target.ident)
-            elif isinstance(stmt, ast.If):
-                visit(stmt.then_body)
-                if stmt.else_body is not None:
-                    visit(stmt.else_body)
-            elif isinstance(stmt, ast.While):
-                visit(stmt.body)
-            elif isinstance(stmt, ast.For):
-                visit(stmt.init)
-                visit(stmt.step)
-                visit(stmt.body)
-
-        for func in self.program.functions:
-            visit(func.body)
-        return assigned & global_names
+        return {stmt.target.ident for func in self.program.functions
+                for stmt in ast.walk_stmts(func.body)
+                if type(stmt) is ast.Assign
+                and type(stmt.target) is ast.Name} & global_names
 
     def _init_globals(self) -> None:
         for decl in self.program.globals:
@@ -766,10 +750,6 @@ class Lowerer:
 
 def _align(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
-
-
-def _is_pow2(value: int) -> bool:
-    return value > 0 and (value & (value - 1)) == 0
 
 
 def _const_int(expr: ast.Expr) -> Optional[int]:

@@ -117,8 +117,7 @@ def verify_pipelined_kernels(cfg, kernels) -> None:
 
 
 def _verify_kernel_stream(instrs, info) -> None:
-    analysis = (analyze_loop_body(info.body_ops)
-                if getattr(info, "body_ops", None) else None)
+    analysis = analyze_loop_body(info.body_ops)
     last_writer: dict = {}
     mem_seen: list = []     # ((iteration, body position), Instruction)
     for copy in range(2):
@@ -161,29 +160,18 @@ def _kernel_mem_conflict(earlier, earlier_key, later, later_key,
                          analysis) -> bool:
     """May the *earlier*-tagged instance conflict with the *later* one?
 
-    With a body analysis available, conflict at instance distance
-    ``later_iter - earlier_iter`` is decided by the symbolic verdict
-    for the two body positions; at distance 0 the intra-iteration
-    affine refinement of :meth:`MemRef.conflicts_with` additionally
-    applies (both tests over-approximate, so their intersection is
-    still sound).  Without an analysis (legacy kernels), fall back to
-    the old rule: affine refinement within an iteration, region+symbol
-    across iterations."""
-    same_iter = later_key[0] == earlier_key[0]
-    if analysis is not None:
-        distance = later_key[0] - earlier_key[0]
-        conflict = analysis.conflicts_at(earlier_key[1], later_key[1],
-                                         distance)
-        if (conflict and same_iter and earlier.mem is not None
-                and later.mem is not None):
-            conflict = earlier.mem.conflicts_with(later.mem)
-        return conflict
-    if earlier.mem is None or later.mem is None:
-        return True
-    if same_iter:
-        return earlier.mem.conflicts_with(later.mem)
-    return (earlier.mem.region == later.mem.region
-            and earlier.mem.symbol == later.mem.symbol)
+    Conflict at instance distance ``later_iter - earlier_iter`` is
+    decided by the body analysis's symbolic verdict for the two body
+    positions; at distance 0 the intra-iteration affine refinement of
+    :meth:`MemRef.conflicts_with` additionally applies (both tests
+    over-approximate, so their intersection is still sound)."""
+    distance = later_key[0] - earlier_key[0]
+    conflict = analysis.conflicts_at(earlier_key[1], later_key[1],
+                                     distance)
+    if (conflict and distance == 0 and earlier.mem is not None
+            and later.mem is not None):
+        conflict = earlier.mem.conflicts_with(later.mem)
+    return conflict
 
 
 def _is_scratch(reg) -> bool:

@@ -7,12 +7,17 @@ analysis), counted ``for`` loops (for unrolling/peeling), conditionals
 
 Types are ``int`` (64-bit) and ``float`` (IEEE double).  Semantic
 analysis annotates every expression node with ``.type``.
+
+:data:`CHILDREN` names each node class's node-valued fields; the two
+walks, :func:`walk` and :func:`walk_stmts`, follow it, and the
+analyses that collect from a tree (lints, loop tests, speculation
+safety, assigned names) are queries over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_type_hints
 
 from .errors import SourceLocation
 
@@ -217,3 +222,75 @@ class ProgramAST:
             if arr.name == name:
                 return arr
         raise KeyError(name)
+
+
+# -------------------------------------------------------------- tree shape
+#: Each node class's node-valued fields, in field order: the one place
+#: the tree's shape is written down (CPython's ``ast._fields``).  A
+#: field holds a node, ``None`` or a list of nodes.
+CHILDREN: dict[type, tuple[str, ...]] = {
+    IntLit: (),
+    FloatLit: (),
+    Name: (),
+    ArrayIndex: ("indices",),
+    BinOp: ("left", "right"),
+    UnaryOp: ("operand",),
+    Call: ("args",),
+    Cast: ("operand",),
+    Select: ("cond", "if_true", "if_false"),
+    Block: ("statements",),
+    Assign: ("target", "value"),
+    If: ("cond", "then_body", "else_body"),
+    While: ("cond", "body"),
+    For: ("init", "cond", "step", "body"),
+    Return: ("value",),
+    ExprStmt: ("expr",),
+    VarDecl: ("init",),
+}
+
+
+def _holds_statements(hint) -> bool:
+    return any(isinstance(t, type) and issubclass(t, Stmt)
+               for t in (hint, *get_args(hint)))
+
+
+#: The statement-valued fields of each statement class's CHILDREN, read
+#: off their annotations: what :func:`walk_stmts` follows.
+STMT_CHILDREN = {
+    cls: tuple(name for name in names
+               if _holds_statements(get_type_hints(cls)[name]))
+    for cls, names in CHILDREN.items() if issubclass(cls, Stmt)}
+
+
+def walk(node) -> list:
+    """*node* and every node under it, in pre-order and field order.
+
+    CPython's ``ast.walk``, but depth-first: a node precedes its
+    children, and a field's whole subtree precedes the next field's.
+    """
+    nodes: list = []
+    _collect(node, CHILDREN, nodes)
+    return nodes
+
+
+def walk_stmts(stmt: Stmt) -> list[Stmt]:
+    """*stmt* and every statement under it, in :func:`walk`'s order.
+
+    Never enters an expression.  A ``for`` header's ``init`` and
+    ``step`` are assignments, so they are included, right after the
+    loop and before its body.
+    """
+    stmts: list[Stmt] = []
+    _collect(stmt, STMT_CHILDREN, stmts)
+    return stmts
+
+
+def _collect(node, children: dict, out: list) -> None:
+    out.append(node)
+    for name in children[type(node)]:
+        child = getattr(node, name)
+        if type(child) is list:
+            for item in child:
+                _collect(item, children, out)
+        elif child is not None:
+            _collect(child, children, out)

@@ -13,7 +13,6 @@ from .experiment import (
     SCHEDULERS,
     ExperimentRunner,
     Manifest,
-    ManifestRun,
     RunResult,
     RunTiming,
     arithmetic_mean,
@@ -48,7 +47,7 @@ __all__ = [
     "CompileResult", "Options", "compile_and_run", "compile_source",
     "make_weight_model", "run_compiled",
     "CONFIGS", "SCHEDULERS", "ExperimentRunner", "RunResult",
-    "config_names", "RunTiming", "Manifest", "ManifestRun", "attach_section",
+    "config_names", "RunTiming", "Manifest", "attach_section",
     "load_manifest", "parse_manifest",
     "arithmetic_mean", "geometric_mean", "options_for",
     "build_report", "write_report",

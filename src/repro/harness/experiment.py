@@ -157,7 +157,8 @@ class RunResult:
 class RunTiming:
     """Wall-clock observability for one grid point (not part of the
     deterministic :class:`RunResult`, so it never enters the cache key
-    or result equality)."""
+    or result equality), with the two cycle counts the manifest gates.
+    One record serves the runner and a parsed manifest's runs."""
 
     benchmark: str
     scheduler: str
@@ -181,6 +182,18 @@ class RunTiming:
     #: builds that compiled fresh bytecode.
     code_cache_hits: int = 0
     code_cache_misses: int = 0
+    #: The point's :class:`RunResult` cycle counts.
+    total_cycles: int = 0
+    load_interlock_cycles: int = 0
+
+    @classmethod
+    def of(cls, key: tuple[str, str, str], result: RunResult,
+           **fields) -> "RunTiming":
+        """The record of grid point *key*, whose result is *result*."""
+        return cls(*key, simulated_instructions=result.instructions,
+                   total_cycles=result.total_cycles,
+                   load_interlock_cycles=result.load_interlock_cycles,
+                   **fields)
 
     @property
     def instructions_per_second(self) -> float:
@@ -194,40 +207,12 @@ class RunTiming:
             self.instructions_per_second, 1)
         return data
 
-
-@dataclass
-class ManifestRun:
-    """One grid point of a run manifest (RunTiming + result extras)."""
-
-    benchmark: str
-    scheduler: str
-    config: str
-    cached: bool
-    phase_seconds: dict = field(default_factory=dict)
-    total_seconds: float = 0.0
-    simulated_instructions: int = 0
-    modulo: Optional[dict] = None
-    sim_mode: Optional[str] = None
-    code_cache_hits: int = 0
-    code_cache_misses: int = 0
-    instructions_per_second: float = 0.0
-    total_cycles: int = 0
-    load_interlock_cycles: int = 0
-
-    def timing(self) -> RunTiming:
-        """The :class:`RunTiming` this entry was serialized from."""
-        return RunTiming(
-            benchmark=self.benchmark, scheduler=self.scheduler,
-            config=self.config, cached=self.cached,
-            phase_seconds=dict(self.phase_seconds),
-            total_seconds=self.total_seconds,
-            simulated_instructions=self.simulated_instructions,
-            modulo=self.modulo, sim_mode=self.sim_mode,
-            code_cache_hits=self.code_cache_hits,
-            code_cache_misses=self.code_cache_misses)
-
-    def to_json(self) -> dict:
-        return asdict(self)
+    @classmethod
+    def from_json(cls, data: dict) -> "RunTiming":
+        """Inverse of :meth:`to_json` (the throughput is derived)."""
+        data = dict(data)
+        data.pop("instructions_per_second", None)
+        return cls(**data)
 
 
 @dataclass
@@ -246,7 +231,7 @@ class Manifest:
     #: files it reaped at startup (v7).
     store_errors: int = 0
     orphans_reaped: int = 0
-    runs: list[ManifestRun] = field(default_factory=list)
+    runs: list[RunTiming] = field(default_factory=list)
     modulo: Optional[dict] = None
     trace: Optional[dict] = None
     #: Heuristic-gap summary (:func:`repro.oracle.gap.oracle_summary`),
@@ -268,7 +253,7 @@ class Manifest:
         return data
 
     def run_for(self, benchmark: str, scheduler: str,
-                config: str) -> Optional[ManifestRun]:
+                config: str) -> Optional[RunTiming]:
         for run in self.runs:
             if (run.benchmark, run.scheduler, run.config) == \
                     (benchmark, scheduler, config):
@@ -278,7 +263,7 @@ class Manifest:
 
 def parse_manifest(data: dict) -> Manifest:
     """Build a :class:`Manifest` from a manifest JSON dict."""
-    runs = [ManifestRun(**entry) for entry in data.get("runs", [])]
+    runs = [RunTiming.from_json(entry) for entry in data.get("runs", [])]
     return Manifest(
         version=data.get("version", 1),
         fingerprint=data.get("fingerprint", ""),
@@ -395,11 +380,10 @@ def _execute_grid_point(workload: Workload, scheduler: str,
         result.swp_max_ii_over_mii = ms.max_ii_over_mii or 0.0
         result.swp_loops = [s.to_json() for s in ms.loops]
         modulo = ms.to_json()
-    timing = RunTiming(
-        benchmark=workload.name, scheduler=scheduler, config=config,
+    timing = RunTiming.of(
+        (workload.name, scheduler, config), result,
         cached=False, phase_seconds=phases,
-        total_seconds=sum(phases.values()),
-        simulated_instructions=metrics.instructions, modulo=modulo,
+        total_seconds=sum(phases.values()), modulo=modulo,
         sim_mode=sim.mode_used,
         code_cache_hits=fastsim.code_cache_hits - hits,
         code_cache_misses=fastsim.code_cache_misses - misses)
@@ -555,9 +539,7 @@ class ExperimentRunner:
         result = None if self.observer.enabled else \
             self._load_cached(key)
         if result is not None:
-            self.timings[key] = RunTiming(
-                benchmark=benchmark, scheduler=scheduler, config=config,
-                cached=True, simulated_instructions=result.instructions)
+            self.timings[key] = RunTiming.of(key, result, cached=True)
         else:
             if self.verbose:
                 print(f"  running {benchmark} / {scheduler} / {config}",
@@ -609,9 +591,7 @@ class ExperimentRunner:
                 pending.append(key)
                 continue
             self._memory[key] = cached
-            self.timings[key] = RunTiming(
-                *key, cached=True,
-                simulated_instructions=cached.instructions)
+            self.timings[key] = RunTiming.of(key, cached, cached=True)
 
         failure: Optional[BaseException] = None
         try:
@@ -699,18 +679,9 @@ class ExperimentRunner:
         """Structured JSON record of the last sweep, next to the cache."""
         if not self.use_cache:
             return
-        runs = []
-        for key in dict.fromkeys(grid):
-            timing = self.timings.get(key)
-            result = self._memory.get(key)
-            if timing is None or result is None:
-                continue
-            entry = timing.to_json()
-            entry["total_cycles"] = result.total_cycles
-            entry["load_interlock_cycles"] = (
-                result.load_interlock_cycles)
-            runs.append(entry)
-        executed = [r for r in runs if not r["cached"]]
+        runs = [self.timings[key] for key in dict.fromkeys(grid)
+                if key in self.timings]
+        executed = [run for run in runs if not run.cached]
         modulo = self._modulo_aggregates(grid)
         payload = {
             "version": MANIFEST_VERSION,
@@ -722,10 +693,10 @@ class ExperimentRunner:
             "cached": len(runs) - len(executed),
             "wall_seconds": round(wall_seconds, 3),
             "simulated_instructions": sum(
-                r["simulated_instructions"] for r in executed),
+                run.simulated_instructions for run in executed),
             "store_errors": self._store.errors,
             "orphans_reaped": self.orphans_reaped,
-            "runs": runs,
+            "runs": [run.to_json() for run in runs],
         }
         if modulo:
             payload["modulo"] = modulo

@@ -130,7 +130,3 @@ class BranchPredictor:
         if not correct:
             self.mispredicts += 1
         return correct
-
-    def reset(self) -> None:
-        self.counters = [1] * (self.mask + 1)
-        self.mispredicts = 0

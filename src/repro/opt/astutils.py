@@ -1,4 +1,5 @@
-"""AST cloning and substitution used by the loop transformations.
+"""AST cloning, substitution and loop rewriting for the loop
+transformations, and the statement queries they share.
 
 Unrolling and peeling duplicate loop bodies while rewriting the
 induction variable (``i`` -> ``i + k`` or a constant).  Cloning keeps
@@ -92,46 +93,34 @@ def clone_stmt(stmt: ast.Stmt, subst: Optional[Subst] = None) -> ast.Stmt:
     raise TypeError(f"cannot clone {type(stmt).__name__}")
 
 
+def rewrite_loops(stmt: ast.Stmt,
+                  rewrite: Callable[[ast.For], ast.Stmt]) -> ast.Stmt:
+    """Replace every ``for`` loop under *stmt* by ``rewrite(loop)``.
+
+    Post-order, in statement order: a loop's body is rewritten before
+    the loop is handed to *rewrite*, and what *rewrite* returns is not
+    visited again.  Returns *stmt*, or its replacement when it is a
+    loop itself.
+    """
+    for name in ast.STMT_CHILDREN[type(stmt)]:
+        child = getattr(stmt, name)
+        if type(child) is list:
+            setattr(stmt, name, [rewrite_loops(item, rewrite)
+                                 for item in child])
+        elif child is not None:
+            setattr(stmt, name, rewrite_loops(child, rewrite))
+    return rewrite(stmt) if type(stmt) is ast.For else stmt
+
+
 def assigned_names(stmt: ast.Stmt) -> set[str]:
-    """Scalar names assigned anywhere inside *stmt*."""
+    """Scalar names assigned or declared anywhere inside *stmt*."""
     names: set[str] = set()
-
-    def visit(node: ast.Stmt) -> None:
-        if isinstance(node, ast.Block):
-            for child in node.statements:
-                visit(child)
-        elif isinstance(node, ast.Assign):
-            if isinstance(node.target, ast.Name):
-                names.add(node.target.ident)
-        elif isinstance(node, ast.If):
-            visit(node.then_body)
-            if node.else_body is not None:
-                visit(node.else_body)
-        elif isinstance(node, (ast.While,)):
-            visit(node.body)
-        elif isinstance(node, ast.For):
-            visit(node.init)
-            visit(node.step)
-            visit(node.body)
-        elif isinstance(node, ast.VarDecl):
+    for node in ast.walk_stmts(stmt):
+        if type(node) is ast.Assign and type(node.target) is ast.Name:
+            names.add(node.target.ident)
+        elif type(node) is ast.VarDecl:
             names.add(node.name)
-
-    visit(stmt)
     return names
-
-
-def count_statements(stmt: ast.Stmt) -> int:
-    """Rough statement count, used for unrolling size limits."""
-    if isinstance(stmt, ast.Block):
-        return sum(count_statements(s) for s in stmt.statements)
-    if isinstance(stmt, ast.If):
-        count = 1 + count_statements(stmt.then_body)
-        if stmt.else_body is not None:
-            count += count_statements(stmt.else_body)
-        return count
-    if isinstance(stmt, (ast.While, ast.For)):
-        return 2 + count_statements(stmt.body)
-    return 1
 
 
 def internal_branch_count(body: ast.Block) -> int:
@@ -143,25 +132,9 @@ def internal_branch_count(body: ast.Block) -> int:
     approximate by not counting ``If`` nodes without an ``else`` whose
     body is a single scalar/array assignment.
     """
-    count = 0
-
-    def visit(node: ast.Stmt) -> None:
-        nonlocal count
-        if isinstance(node, ast.Block):
-            for child in node.statements:
-                visit(child)
-        elif isinstance(node, ast.If):
-            if not is_predicable_if(node):
-                count += 1
-            visit(node.then_body)
-            if node.else_body is not None:
-                visit(node.else_body)
-        elif isinstance(node, (ast.While, ast.For)):
-            count += 1
-            visit(node.body)
-
-    visit(body)
-    return count
+    return sum(1 for node in ast.walk_stmts(body)
+               if type(node) in (ast.While, ast.For)
+               or (type(node) is ast.If and not is_predicable_if(node)))
 
 
 def is_predicable_if(node: ast.If) -> bool:

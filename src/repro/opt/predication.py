@@ -26,21 +26,10 @@ from ..frontend import ast
 
 
 def _is_speculation_safe(expr: ast.Expr) -> bool:
-    if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.Name)):
-        return True
-    if isinstance(expr, ast.ArrayIndex):
-        return all(_is_speculation_safe(i) for i in expr.indices)
-    if isinstance(expr, ast.BinOp):
-        if expr.op in ("/", "%"):
-            return False
-        return (_is_speculation_safe(expr.left)
-                and _is_speculation_safe(expr.right))
-    if isinstance(expr, (ast.UnaryOp, ast.Cast)):
-        return _is_speculation_safe(expr.operand)
-    if isinstance(expr, ast.Select):
-        return all(_is_speculation_safe(e)
-                   for e in (expr.cond, expr.if_true, expr.if_false))
-    return False  # calls and anything unknown
+    """No call and no ``/`` or ``%``: safe to evaluate unconditionally."""
+    return not any(type(node) is ast.Call
+                   or (type(node) is ast.BinOp and node.op in ("/", "%"))
+                   for node in ast.walk(expr))
 
 
 def predicable(stmt: ast.If) -> bool:

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..frontend import ast
-from .astutils import assigned_names, clone_expr, clone_stmt, internal_branch_count
+from .astutils import (
+    assigned_names,
+    clone_expr,
+    clone_stmt,
+    internal_branch_count,
+    rewrite_loops,
+)
 
 #: Paper's unrolled-body instruction caps, per unrolling factor.
 SIZE_LIMITS = {4: 64, 8: 128}
@@ -69,9 +75,12 @@ def canonicalize(loop: ast.For) -> Optional[CanonicalLoop]:
         return None
     if ivar in assigned_names(loop.body):
         return None
-    if _contains_call(cond.right) or _contains_call(init.value):
+    hi_nodes = ast.walk(cond.right)
+    if any(type(node) is ast.Call
+           for node in hi_nodes + ast.walk(init.value)):
         return None
-    if ivar in _free_names(cond.right):
+    if any(type(node) is ast.Name and node.ident == ivar
+           for node in hi_nodes):
         return None
     return CanonicalLoop(ivar=ivar, lo=init.value, hi=cond.right,
                          cmp=cond.op, step=step_value)
@@ -90,61 +99,10 @@ def _match_increment(expr: ast.Expr, ivar: str) -> Optional[int]:
     return None
 
 
-def _contains_call(expr: ast.Expr) -> bool:
-    if isinstance(expr, ast.Call):
-        return True
-    if isinstance(expr, ast.BinOp):
-        return _contains_call(expr.left) or _contains_call(expr.right)
-    if isinstance(expr, (ast.UnaryOp, ast.Cast)):
-        return _contains_call(expr.operand)
-    if isinstance(expr, ast.ArrayIndex):
-        return any(_contains_call(i) for i in expr.indices)
-    if isinstance(expr, ast.Select):
-        return any(_contains_call(e)
-                   for e in (expr.cond, expr.if_true, expr.if_false))
-    return False
-
-
-def _free_names(expr: ast.Expr) -> set[str]:
-    names: set[str] = set()
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.Name):
-            names.add(node.ident)
-        elif isinstance(node, ast.BinOp):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, (ast.UnaryOp, ast.Cast)):
-            visit(node.operand)
-        elif isinstance(node, ast.ArrayIndex):
-            for index in node.indices:
-                visit(index)
-        elif isinstance(node, ast.Call):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, ast.Select):
-            visit(node.cond)
-            visit(node.if_true)
-            visit(node.if_false)
-
-    visit(expr)
-    return names
-
-
 def is_innermost(loop: ast.For) -> bool:
     """No loop statements anywhere inside the body."""
-
-    def clean(stmt: ast.Stmt) -> bool:
-        if isinstance(stmt, (ast.For, ast.While)):
-            return False
-        if isinstance(stmt, ast.Block):
-            return all(clean(s) for s in stmt.statements)
-        if isinstance(stmt, ast.If):
-            return clean(stmt.then_body) and (
-                stmt.else_body is None or clean(stmt.else_body))
-        return True
-
-    return clean(loop.body)
+    return not any(type(node) in (ast.For, ast.While)
+                   for node in ast.walk_stmts(loop.body))
 
 
 def estimate_instructions(node, program: ast.ProgramAST) -> int:
@@ -281,30 +239,10 @@ class Unroller:
 
     def run(self) -> UnrollStats:
         for func in self.program.functions:
-            func.body = self._block(func.body)
+            func.body = rewrite_loops(func.body, self._for)
         return self.stats
 
-    def _block(self, block: ast.Block) -> ast.Block:
-        block.statements = [self._stmt(s) for s in block.statements]
-        return block
-
-    def _stmt(self, stmt: ast.Stmt) -> ast.Stmt:
-        if isinstance(stmt, ast.Block):
-            return self._block(stmt)
-        if isinstance(stmt, ast.If):
-            stmt.then_body = self._block(stmt.then_body)
-            if stmt.else_body is not None:
-                stmt.else_body = self._block(stmt.else_body)
-            return stmt
-        if isinstance(stmt, ast.While):
-            stmt.body = self._block(stmt.body)
-            return stmt
-        if isinstance(stmt, ast.For):
-            return self._for(stmt)
-        return stmt
-
     def _for(self, loop: ast.For) -> ast.Stmt:
-        loop.body = self._block(loop.body)
         if getattr(loop, "_la_processed", False) or \
                 getattr(loop, "_unrolled", 0):
             return loop

@@ -54,14 +54,9 @@ from ..harness.store import StoreKey
 from ..ir.cfg import Cfg
 from ..ir.dag import build_dag
 from ..ir.liveness import liveness
-from ..ir.loops import find_loops
 from ..sched.block import schedule_cfg
 from ..sched.list_scheduler import list_schedule
-from ..sched.modulo.deps import analyze_deps, match_loop
-from ..sched.modulo.pipeline import (
-    MAX_BODY_OPS,
-    MIN_BODY_OPS,
-)
+from ..sched.modulo.pipeline import loop_candidate, loop_headers
 from ..sched.weights import TraditionalWeights
 from ..workloads.programs import WORKLOADS
 from .block import (
@@ -81,9 +76,6 @@ GAP_SCHEMA_VERSION = 1
 #: Store-key scheduler name for oracle results, which share the result
 #: store with the experiment grid without colliding with its points.
 ORACLE_SCHEDULER = "oracle"
-
-#: Loops above this size are not searched; mirrors the pipeline gate.
-MAX_LOOP_OPS = MAX_BODY_OPS
 
 #: Search nodes per block and per loop (``--oracle-budget``).  Node
 #: accounting is deterministic, so a fixed budget gives bit-stable
@@ -144,35 +136,24 @@ def _validate_oracle_schedules(cfg: Cfg, results: list) -> None:
 
 def _analyze_loops(source: str, options: Options, name: str,
                    budget: int) -> list:
-    """Run the modulo oracle on every candidate loop.
-
-    The candidate discovery replicates the software-pipelining driver:
-    loops are matched on the *scheduled* CFG (the driver runs after
-    list scheduling), the dependence graph and latency model are the
-    production ones, and the same size gates apply.
-    """
+    """Run the modulo oracle on every loop the software-pipelining
+    driver would attempt: matched on the *scheduled* CFG (the driver
+    runs after list scheduling) by the driver's own candidate function
+    (:func:`~repro.sched.modulo.pipeline.loop_candidate`), with liveness
+    computed once because nothing here rewrites the CFG."""
     cfg, _, _ = lower_source(source, options, name)
     model = make_weight_model(options)
     schedule_cfg(cfg, model)
     live_in, _ = liveness(cfg)
-    loops = find_loops(cfg)
-    order_pos = {label: i for i, label in enumerate(cfg.order)}
     results: list[LoopOracleResult] = []
-    for header in sorted(loops, key=order_pos.get):
-        loop = loops[header]
-        if header == cfg.entry or loop.body != {header}:
+    for header, single_block in loop_headers(cfg):
+        if not single_block:
             continue
-        exit_label = cfg.blocks[header].fallthrough
-        live_into_exit = (live_in.get(exit_label, set())
-                          if exit_label else set())
-        shape = match_loop(cfg, header, live_into_exit)
-        if isinstance(shape, str):
+        candidate = loop_candidate(cfg, header, live_in, options.config,
+                                   model)
+        if candidate.reason:
             continue
-        if not MIN_BODY_OPS <= len(shape.ops) <= MAX_LOOP_OPS:
-            continue
-        deps = analyze_deps(shape.ops, options.config, model,
-                            live_out=live_in[header] | live_into_exit)
-        results.append(oracle_loop(deps, options.config,
+        results.append(oracle_loop(candidate.deps, options.config,
                                    budget=Budget(max_nodes=budget),
                                    label=header))
     return results

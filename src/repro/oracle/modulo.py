@@ -44,8 +44,11 @@ from typing import Optional
 from ..machine import MachineConfig
 from ..sched.modulo.deps import LoopDeps
 from ..sched.modulo.mii import compute_mii
-from ..sched.modulo.pipeline import II_RANGE_FACTOR, MAX_STAGES
-from ..sched.modulo.scheduler import modulo_schedule
+from ..sched.modulo.pipeline import (
+    II_RANGE_FACTOR,
+    MAX_STAGES,
+    find_schedule,
+)
 from .solver import SAT, UNSAT, Arc, Budget, Problem, solve_decision
 
 STATUS_OPTIMAL = "optimal"     # feasible II found, all below refuted
@@ -183,14 +186,9 @@ class LoopOracleResult:
 
 def heuristic_ii(deps: LoopDeps, config: MachineConfig,
                  mii: int) -> int:
-    """II the production driver would achieve (0 = none), replicating
-    its II walk and latency cap exactly."""
-    for ii in range(mii, II_RANGE_FACTOR * mii + 1):
-        sched = modulo_schedule(deps, config, ii,
-                                lat_cap=(MAX_STAGES - 1) * ii)
-        if sched is not None:
-            return sched.ii
-    return 0
+    """II the production driver achieves (0 = none): its own II walk."""
+    sched = find_schedule(deps, config, mii)
+    return sched.ii if sched is not None else 0
 
 
 def oracle_loop(deps: LoopDeps, config: MachineConfig,

@@ -28,6 +28,7 @@ Bail-out gates, in order (reason codes in :mod:`.stats`):
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ...ir.cfg import Cfg
@@ -36,10 +37,10 @@ from ...ir.loops import find_loops
 from ...isa import Reg
 from ...machine import MachineConfig
 from ..weights import WeightModel
-from .deps import analyze_deps, match_loop
+from .deps import LoopDeps, LoopShape, analyze_deps, match_loop
 from .kernel import Mve, build_pipeline, plan_mve
 from .mii import compute_mii_detailed
-from .scheduler import modulo_schedule
+from .scheduler import ModuloSchedule, modulo_schedule
 from .stats import (
     REASON_NO_II,
     REASON_NO_OVERLAP,
@@ -79,18 +80,75 @@ def _fresh_vreg_factory(cfg: Cfg) -> Callable[[str], Reg]:
     return fresh
 
 
+def loop_headers(cfg: Cfg) -> list[tuple[str, bool]]:
+    """Every loop header of *cfg* in layout order, with whether its loop
+    is a single block other than the entry: the only loops pipelined."""
+    loops = find_loops(cfg)
+    order_pos = {label: i for i, label in enumerate(cfg.order)}
+    return [(header, header != cfg.entry and loops[header].body == {header})
+            for header in sorted(loops, key=order_pos.get)]
+
+
+@dataclass
+class LoopCandidate:
+    """One single-block loop taken through the shape and size gates.
+
+    ``reason`` is the bail-out code of the first gate it fails; when it
+    passes them all, ``reason`` is empty and ``deps`` holds its cyclic
+    dependence graph.
+    """
+
+    reason: str = ""
+    n_ops: int = 0
+    shape: Optional[LoopShape] = None
+    deps: Optional[LoopDeps] = None
+    live_into_exit: set = field(default_factory=set)
+
+
+def loop_candidate(cfg: Cfg, header: str, live_in: dict,
+                   config: MachineConfig,
+                   model: Optional[WeightModel]) -> LoopCandidate:
+    """Match the loop at *header* and analyze its dependences.
+
+    *live_in* is the CFG's live-in map; the loop's live-out is its own
+    live-in plus what is live into its exit.
+    """
+    exit_label = cfg.blocks[header].fallthrough
+    live_into_exit = live_in.get(exit_label, set()) if exit_label else set()
+    shape = match_loop(cfg, header, live_into_exit)
+    if isinstance(shape, str):
+        return LoopCandidate(REASON_SHAPE)
+    n_ops = len(shape.ops)
+    if n_ops < MIN_BODY_OPS:
+        return LoopCandidate(REASON_TOO_SMALL, n_ops)
+    if n_ops > MAX_BODY_OPS:
+        return LoopCandidate(REASON_TOO_BIG, n_ops)
+    deps = analyze_deps(shape.ops, config, model,
+                        live_out=live_in[header] | live_into_exit)
+    return LoopCandidate(n_ops=n_ops, shape=shape, deps=deps,
+                         live_into_exit=live_into_exit)
+
+
+def find_schedule(deps: LoopDeps, config: MachineConfig,
+                  mii: int) -> Optional[ModuloSchedule]:
+    """The II walk: the first II from MII to ``II_RANGE_FACTOR * MII``
+    that the modulo scheduler fits, each with latencies capped at
+    ``(MAX_STAGES - 1) * II``; None when none fits."""
+    for ii in range(mii, II_RANGE_FACTOR * mii + 1):
+        sched = modulo_schedule(deps, config, ii,
+                                lat_cap=(MAX_STAGES - 1) * ii)
+        if sched is not None:
+            return sched
+    return None
+
+
 def pipeline_loops(cfg: Cfg, config: MachineConfig,
                    model: Optional[WeightModel]) -> ModuloStats:
     """Software-pipeline every eligible loop of *cfg* in place."""
     stats = ModuloStats()
-    loops = find_loops(cfg)
-    order_pos = {label: i for i, label in enumerate(cfg.order)}
-    headers = sorted(loops, key=order_pos.get)
     fresh = _fresh_vreg_factory(cfg)
-
-    for header in headers:
-        loop = loops[header]
-        if header == cfg.entry or loop.body != {header}:
+    for header, single_block in loop_headers(cfg):
+        if not single_block:
             stats.loops.append(LoopPipelineStats(
                 label=header, pipelined=False,
                 reason=REASON_NOT_INNERMOST))
@@ -106,27 +164,17 @@ def _pipeline_one(cfg: Cfg, header: str, config: MachineConfig,
                   model: Optional[WeightModel],
                   fresh: Callable[[str], Reg],
                   stats: ModuloStats) -> LoopPipelineStats:
-    bail = LoopPipelineStats(label=header, pipelined=False)
-
+    # Liveness is recomputed per loop: earlier loops rewrote the CFG.
     live_in, _live_out = liveness(cfg)
-    exit_label = cfg.blocks[header].fallthrough
-    live_into_exit = live_in.get(exit_label, set()) if exit_label else set()
-    shape = match_loop(cfg, header, live_into_exit)
-    if isinstance(shape, str):
-        bail.reason = REASON_SHAPE
+    candidate = loop_candidate(cfg, header, live_in, config, model)
+    bail = LoopPipelineStats(label=header, pipelined=False,
+                             reason=candidate.reason,
+                             n_ops=candidate.n_ops)
+    if candidate.reason:
         return bail
+    shape, deps = candidate.shape, candidate.deps
+    live_into_exit = candidate.live_into_exit
 
-    n_ops = len(shape.ops)
-    bail.n_ops = n_ops
-    if n_ops < MIN_BODY_OPS:
-        bail.reason = REASON_TOO_SMALL
-        return bail
-    if n_ops > MAX_BODY_OPS:
-        bail.reason = REASON_TOO_BIG
-        return bail
-
-    deps = analyze_deps(shape.ops, config, model,
-                        live_out=live_in[header] | live_into_exit)
     res, rec, mii, witness = compute_mii_detailed(deps, config)
     bail.res_mii, bail.rec_mii, bail.mii = res, rec, mii
     recurrence = witness.to_json() if witness is not None else None
@@ -135,12 +183,7 @@ def _pipeline_one(cfg: Cfg, header: str, config: MachineConfig,
     bail.mem_exact = deps.mem_exact
     bail.mem_conservative = deps.mem_conservative
 
-    sched = None
-    for ii in range(mii, II_RANGE_FACTOR * mii + 1):
-        sched = modulo_schedule(deps, config, ii,
-                                lat_cap=(MAX_STAGES - 1) * ii)
-        if sched is not None:
-            break
+    sched = find_schedule(deps, config, mii)
     if sched is None:
         bail.reason = REASON_NO_II
         return bail
@@ -168,7 +211,7 @@ def _pipeline_one(cfg: Cfg, header: str, config: MachineConfig,
                           live_into_exit, fresh)
     stats.kernels.append(info)
     return LoopPipelineStats(
-        label=header, pipelined=True, n_ops=n_ops,
+        label=header, pipelined=True, n_ops=candidate.n_ops,
         res_mii=res, rec_mii=rec, mii=mii, ii=sched.ii,
         stages=sched.stage_count, unroll=mve.ku,
         recurrence=recurrence,

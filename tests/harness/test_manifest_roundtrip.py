@@ -32,7 +32,7 @@ def test_manifest_loads_into_equal_dataclasses(tmp_path):
 
     for run in manifest.runs:
         key = (run.benchmark, run.scheduler, run.config)
-        assert run.timing() == runner.timings[key]
+        assert run == runner.timings[key]
         result = runner._memory[key]
         assert run.total_cycles == result.total_cycles
         assert run.load_interlock_cycles == \

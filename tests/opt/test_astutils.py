@@ -5,7 +5,6 @@ from repro.opt.astutils import (
     assigned_names,
     clone_expr,
     clone_stmt,
-    count_statements,
     internal_branch_count,
     is_predicable_if,
 )
@@ -92,10 +91,6 @@ func main() {
 """)
         names = assigned_names(body)
         assert {"a", "b", "c"} <= names
-
-    def test_count_statements(self):
-        body = main_body(SRC)
-        assert count_statements(body) >= 4
 
     def test_internal_branch_count_skips_predicable(self):
         loop = loop_of("""

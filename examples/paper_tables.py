@@ -18,10 +18,8 @@ def main() -> None:
     wanted = [int(arg) for arg in sys.argv[1:]] or sorted(ALL_TABLES)
     runner = ExperimentRunner(verbose=True)
     for number in wanted:
-        fn = ALL_TABLES[number]
-        table = fn() if number <= 3 else fn(runner)
         print()
-        print(table.format())
+        print(ALL_TABLES[number](runner).format())
         print()
 
 

@@ -293,14 +293,17 @@ def cmd_tables(args: argparse.Namespace) -> int:
             print(f"skipping table(s) {skipped}: inputs outside "
                   f"--configs {','.join(configs)}", file=sys.stderr)
         numbers = kept
-    if runner.jobs > 1 and any(n > 3 for n in numbers):
-        # Warm the grid across all cores (only the selected configs).
-        runner.sweep(configs=configs)
+    # Sweep exactly the configs the tables read (and the oracle's base,
+    # so its section lands in this command's manifest), then print.
+    read = {config for number in numbers for config in TABLE_CONFIGS[number]}
+    if args.oracle:
+        read.add("base")
+    if read:
+        runner.sweep(configs=[config for config in CONFIGS
+                              if config in read])
     for number in numbers:
-        fn = ALL_TABLES[number]
-        table = fn() if number <= 3 else fn(runner)
         print()
-        print(table.format())
+        print(ALL_TABLES[number](runner).format())
     if args.oracle:
         _run_oracle(_oracle_runner(args, runner))
     _finish_trace(observer, args)

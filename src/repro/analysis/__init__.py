@@ -3,7 +3,6 @@ dependence distances, and register pressure."""
 
 from .affine import AffineForm, affine_of, flatten_subscript
 from .deps import (
-    ACCESS_BYTES,
     ConflictEquation,
     DepVerdict,
     LoopBodyDeps,
@@ -19,14 +18,15 @@ from .report import (
     analyze_cfg,
     analyze_program,
     format_report,
+    lint_loop_analysis,
 )
 
 __all__ = [
     "AffineForm", "affine_of", "flatten_subscript",
     "LocalityAnalyzer", "LocalityStats", "analyze_locality",
-    "ACCESS_BYTES", "ConflictEquation", "DepVerdict", "LoopBodyDeps",
+    "ConflictEquation", "DepVerdict", "LoopBodyDeps",
     "analyze_loop_body", "classify", "classify_source_pair",
     "block_pressure", "cfg_pressure", "over_budget",
     "ANALYSIS_SCHEMA_VERSION", "analysis_summary", "analyze_cfg",
-    "analyze_program", "format_report",
+    "analyze_program", "format_report", "lint_loop_analysis",
 ]

@@ -23,8 +23,8 @@ Both front ends share one normal form, :class:`ConflictEquation`:
 where ``i`` is the normalized iteration number of the *earlier*
 reference, ``d >= 0`` the dependence distance, and the pair conflicts at
 distance ``d`` iff ``|difference| < width`` for some valid assignment
-(``width`` is 1 in the element domain, ``ACCESS_BYTES`` in the byte
-domain).
+(``width`` is 1 in the element domain, ``ELEMENT_BYTES`` in the byte
+domain: every LD/FLD/ST/FST moves one element).
 
 Two front ends build equations:
 
@@ -34,7 +34,7 @@ Two front ends build equations:
   every load/store address as an affine form over the *loop-entry*
   values of registers, derives per-register iteration steps from the
   body's final state, and classifies every reference pair.  Addresses
-  are in bytes, so the conflict window is ``|delta| <= ACCESS_BYTES-1``
+  are in bytes, so the conflict window is ``|delta| <= ELEMENT_BYTES-1``
   — partial overlap of 8-byte accesses is handled soundly.
 * :func:`classify_source_pair` works on AST-level
   :class:`ArrayAccess` pairs (element domain, equality is the exact
@@ -51,16 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, floor, gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..isa.instruction import Instruction
 from ..isa.registers import Reg
+from ..machine.config import ELEMENT_BYTES
 from .affine import AffineForm, ArrayAccess
-
-#: Every LD/FLD/ST/FST moves one 8-byte element (``ELEMENT_BYTES`` in
-#: the machine model); two byte addresses conflict iff they are within
-#: ``ACCESS_BYTES - 1`` of each other.
-ACCESS_BYTES = 8
 
 # Verdict kinds.
 INDEPENDENT = "independent"   # provably never conflict (any d >= 0)
@@ -404,19 +400,20 @@ def _address_equation(
         dist_coeff=dist_coeff,
         free_coeffs=tuple(sorted(free.items())),
         const=addr_b.const - addr_a.const,
-        width=ACCESS_BYTES,
+        width=ELEMENT_BYTES,
     )
 
 
 class LoopBodyDeps:
     """Pairwise dependence verdicts for one lowered loop body.
 
-    Built once per loop by :func:`analyze_loop_body`; both the modulo
-    scheduler (arc construction) and the kernel verifier (distance-aware
-    replay) query it, so a bug here is caught by the verifier only if
-    the two callers analyze *independently* — which they do: the
-    verifier re-analyzes from the recorded body, never trusting the
-    scheduler's arcs.
+    Built once per loop by :func:`analyze_loop_body`; the modulo
+    scheduler (arc construction), ``repro analyze`` (pair counts and
+    lints) and the kernel verifier (distance-aware replay) query it, so
+    a bug here is caught by the verifier only if it analyzes
+    *independently* of the scheduler — which it does: the verifier
+    re-analyzes from the recorded body, never trusting the scheduler's
+    arcs.
     """
 
     def __init__(self, ops: Sequence[Instruction]) -> None:
@@ -459,6 +456,17 @@ class LoopBodyDeps:
         if addr_a is None or addr_b is None:
             return UNKNOWN_VERDICT
         return classify(_address_equation(addr_a, addr_b, self.steps))
+
+    def pairs(self) -> Iterator[tuple[int, int, DepVerdict]]:
+        """Every ordered pair ``(a, b)`` of distinct memory ops with its
+        verdict, in body order.  Load/load pairs carry no dependence
+        and are skipped."""
+        mem_ops = [pos for pos, ins in enumerate(self.ops) if ins.is_mem]
+        for a in mem_ops:
+            for b in mem_ops:
+                if a != b and not (self.ops[a].is_load
+                                   and self.ops[b].is_load):
+                    yield a, b, self.verdict(a, b)
 
     def conflicts_at(self, a: int, b: int, distance: int) -> bool:
         """May ``ops[b]`` at iteration ``i + distance`` touch the same

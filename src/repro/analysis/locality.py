@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..frontend import ast
+from ..machine.config import ELEMENTS_PER_LINE
 from ..opt.astutils import assigned_names, clone_stmt, rewrite_loops
 from ..opt.unroll import (
     CanonicalLoop,
@@ -39,7 +40,6 @@ from ..opt.unroll import (
 )
 from .affine import flatten_subscript
 
-ELEMENTS_PER_LINE = 4     # 32-byte lines / 8-byte elements (paper 3.3)
 #: Locality analysis unrolls by the line-geometry factor regardless of
 #: the LU pass's 64/128-instruction caps (the paper treats this limited
 #: unrolling as part of the algorithm); these generous limits only stop
@@ -112,10 +112,8 @@ def walk_load_refs(stmt: ast.Stmt) -> list[ast.ArrayIndex]:
 class LocalityAnalyzer:
     """Applies locality analysis across a program AST, in place."""
 
-    def __init__(self, program: ast.ProgramAST,
-                 elements_per_line: int = ELEMENTS_PER_LINE) -> None:
+    def __init__(self, program: ast.ProgramAST) -> None:
         self.program = program
-        self.epl = elements_per_line
         self.stats = LocalityStats()
         self._groups = itertools.count(1)
         self._group_ids: dict[tuple, int] = {}
@@ -144,7 +142,8 @@ class LocalityAnalyzer:
             return RefInfo("unknown")
         if coeff_iv == 0:
             return RefInfo("temporal", ref.array, rest, flat.const)
-        if coeff_iv == 1 and all(c % self.epl == 0 for _, c in rest):
+        if coeff_iv == 1 and all(c % ELEMENTS_PER_LINE == 0
+                                 for _, c in rest):
             return RefInfo("spatial", ref.array, rest, flat.const)
         return RefInfo("unknown")
 
@@ -177,7 +176,7 @@ class LocalityAnalyzer:
         body_cost = estimate_instructions(loop.body, self.program)
         do_peel = n_temporal > 0 and body_cost <= PEEL_SIZE_LIMIT
         do_unroll = (n_spatial > 0
-                     and body_cost * self.epl <= UNROLL_SIZE_LIMIT)
+                     and body_cost * ELEMENTS_PER_LINE <= UNROLL_SIZE_LIMIT)
         if not do_peel and not do_unroll:
             return loop
 
@@ -205,12 +204,13 @@ class LocalityAnalyzer:
             inner_canon = CanonicalLoop(
                 ivar=ivar, lo=inner_init.value, hi=canon.hi,
                 cmp=canon.cmp, step=1)
-            unrolled = unroll_loop(inner_loop, inner_canon, self.epl)
+            unrolled = unroll_loop(inner_loop, inner_canon,
+                                   ELEMENTS_PER_LINE)
             main_loop = unrolled.statements[0]
             missed = set()
             copies = main_loop.body.statements
-            per_copy = len(copies) // self.epl
-            for k in range(self.epl):
+            per_copy = len(copies) // ELEMENTS_PER_LINE
+            for k in range(ELEMENTS_PER_LINE):
                 copy_block = ast.Block(
                     statements=copies[k * per_copy:(k + 1) * per_copy])
                 self._mark_copy(copy_block, infos, offset=k, lo=inner_lo,
@@ -277,8 +277,8 @@ class LocalityAnalyzer:
             if temporal_only:
                 continue
             position = info.const + offset + lo
-            line_index = position // self.epl
-            phase = position % self.epl
+            line_index = position // ELEMENTS_PER_LINE
+            phase = position % ELEMENTS_PER_LINE
             key = ("s", info.array, info.rest_coeffs, line_index)
             gid = self._group(key)
             ref.group = gid

@@ -12,9 +12,10 @@ next one starts, so a source that dies at an instruction never lends
 its register to that instruction's destination.
 
 :func:`block_pressure` is the only MAXLIVE in the compiler.
-:func:`cfg_pressure` applies it to every block of a CFG (``repro
-analyze``), the ``kernel-pressure`` lint to each loop header, and the
-balanced weights' ``--pressure`` feedback to each trial block order.
+:func:`cfg_pressure` applies it to every block of a CFG for ``repro
+analyze``, whose loop records and ``kernel-pressure`` lint read the
+loop headers' values; the balanced weights' ``--pressure`` feedback
+applies it to each trial block order.
 
 All results are ``{"i": n, "f": m}`` dictionaries (integer and
 floating-point banks), comparable directly against the allocatable

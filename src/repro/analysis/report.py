@@ -4,13 +4,20 @@ Ties the symbolic dependence analyzer (:mod:`repro.analysis.deps`) and
 the MAXLIVE analysis (:mod:`repro.analysis.pressure`) into one
 benchmark-level report:
 
-* per innermost single-block loop: how many memory-access pairs the
+* per innermost single-block loop (:func:`repro.ir.loops.loop_headers`,
+  the pipeliner's own filter): how many memory-access pairs the
   analyzer proved independent, resolved to an exact carried distance,
   or had to keep conservative — plus the loop's per-bank MAXLIVE
   against the allocatable register files;
 * per CFG: whole-program peak pressure and the blocks whose MAXLIVE
   exceeds the allocatable budget (linear-scan will spill there);
-* the analysis lints from :func:`repro.check.lints.lint_loop_analysis`.
+* two lints read off each loop's record
+  (:func:`lint_loop_analysis`): ``independent-store-ordered`` (note)
+  -- a store provably independent of every other memory access in the
+  body, in both directions and at every distance, whose ordering arcs
+  the conservative DAG builder still adds; ``kernel-pressure``
+  (warning) -- a loop's MAXLIVE over an allocatable bank, so
+  linear-scan allocation will spill inside the hottest code.
 
 The manifest-ready summary (:func:`analysis_summary`) is attached to
 run manifests as the ``analysis`` section (manifest v6) and gated by
@@ -22,11 +29,11 @@ threshold 0.
 from __future__ import annotations
 
 from ..check.boundary import _NullValidator
-from ..check.lints import lint_loop_analysis
+from ..check.diagnostics import NOTE, WARNING, Diagnostic
 from ..ir.cfg import Cfg
-from ..ir.loops import find_loops
+from ..ir.loops import loop_headers
 from ..machine.config import DEFAULT_CONFIG, MachineConfig
-from .deps import analyze_loop_body
+from .deps import INDEPENDENT, analyze_loop_body
 from .pressure import BANKS, cfg_pressure, over_budget
 
 #: Schema of the per-benchmark report and the manifest ``analysis``
@@ -46,52 +53,80 @@ class _PreRegallocSnapshot(_NullValidator):
         self.cfg = copy.deepcopy(cfg)
 
 
+def _budget(config: MachineConfig) -> dict[str, int]:
+    return {"i": config.allocatable_int_regs,
+            "f": config.allocatable_fp_regs}
+
+
 def _loop_reports(cfg: Cfg, pressure: dict[str, dict[str, int]],
-                  budget: dict[str, int]) -> list[dict]:
-    loops = find_loops(cfg)
-    order_pos = {label: i for i, label in enumerate(cfg.order)}
-    reports = []
-    for header in sorted(loops, key=order_pos.get):
-        if loops[header].body != {header} or header == cfg.entry:
+                  budget: dict[str, int]
+                  ) -> tuple[list[dict], list[Diagnostic]]:
+    """One record per innermost single-block loop, and the lints read
+    off those records."""
+    reports: list[dict] = []
+    diags: list[Diagnostic] = []
+    for header, single_block in loop_headers(cfg):
+        if not single_block:
             continue
         ops = cfg.blocks[header].body
-        deps = analyze_loop_body(ops)
         counts = {"independent": 0, "exact": 0, "always": 0,
                   "unknown": 0}
-        pairs = 0
-        min_distance = None
-        mem_ops = [pos for pos, ins in enumerate(ops) if ins.is_mem]
-        for a in mem_ops:
-            for b in mem_ops:
-                if a == b or (ops[a].is_load and ops[b].is_load):
-                    continue
-                pairs += 1
-                verdict = deps.verdict(a, b)
-                counts[verdict.kind] += 1
-                distance = verdict.carried_distance()
-                if distance is not None and (min_distance is None
-                                             or distance < min_distance):
-                    min_distance = distance
+        distances = []
+        paired: set[int] = set()
+        dependent: set[int] = set()
+        for a, b, verdict in analyze_loop_body(ops).pairs():
+            counts[verdict.kind] += 1
+            distances.append(verdict.carried_distance())
+            paired.update((a, b))
+            if verdict.kind != INDEPENDENT:
+                dependent.update((a, b))
+        # pairs() skips only load/load pairs, so it holds every pair
+        # with a store in it, both ways round.
+        for pos in sorted(paired - dependent):
+            if ops[pos].is_store:
+                diags.append(Diagnostic(
+                    severity=NOTE, rule="independent-store-ordered",
+                    message=f"store at body position {pos} "
+                            f"({ops[pos].op} {ops[pos].mem.symbol}) is "
+                            "provably independent of every other "
+                            "memory access in the loop; its ordering "
+                            "arcs are conservative",
+                    pass_name="analyze", block=header))
         maxlive = pressure.get(header, {"i": 0, "f": 0})
+        over = over_budget(maxlive, budget)
+        for bank in over:
+            diags.append(Diagnostic(
+                severity=WARNING, rule="kernel-pressure",
+                message=f"loop MAXLIVE of bank '{bank}' is "
+                        f"{maxlive[bank]}, over the allocatable "
+                        f"{budget[bank]} registers: allocation will "
+                        "spill inside this loop",
+                pass_name="analyze", block=header))
         reports.append({
             "label": header,
             "ops": len(ops),
-            "mem_ops": len(mem_ops),
-            "pairs": pairs,
+            "mem_ops": sum(1 for ins in ops if ins.is_mem),
+            "pairs": sum(counts.values()),
             **counts,
-            "min_distance": min_distance,
+            "min_distance": min((d for d in distances if d is not None),
+                                default=None),
             "max_live": dict(maxlive),
-            "over_budget": over_budget(maxlive, budget),
+            "over_budget": over,
         })
-    return reports
+    return reports, diags
+
+
+def lint_loop_analysis(cfg: Cfg, config: MachineConfig = DEFAULT_CONFIG
+                       ) -> list[Diagnostic]:
+    """The two loop lints over a scheduled pre-regalloc CFG."""
+    return _loop_reports(cfg, cfg_pressure(cfg), _budget(config))[1]
 
 
 def analyze_cfg(cfg: Cfg, config: MachineConfig = DEFAULT_CONFIG,
                 benchmark: str = "program",
                 options_label: str = "balanced") -> dict:
     """Dependence + pressure report over a scheduled pre-regalloc CFG."""
-    budget = {"i": config.allocatable_int_regs,
-              "f": config.allocatable_fp_regs}
+    budget = _budget(config)
     pressure = cfg_pressure(cfg)
     peak = {"i": 0, "f": 0}
     over = []
@@ -103,9 +138,7 @@ def analyze_cfg(cfg: Cfg, config: MachineConfig = DEFAULT_CONFIG,
             peak[bank] = max(peak[bank], counts[bank])
         if over_budget(counts, budget):
             over.append(label)
-    loops = _loop_reports(cfg, pressure, budget)
-    diagnostics = [diag.render()
-                   for diag in lint_loop_analysis(cfg, config)]
+    loops, diagnostics = _loop_reports(cfg, pressure, budget)
     return {
         "schema": ANALYSIS_SCHEMA_VERSION,
         "benchmark": benchmark,
@@ -116,7 +149,7 @@ def analyze_cfg(cfg: Cfg, config: MachineConfig = DEFAULT_CONFIG,
         "max_live": peak,
         "over_budget_blocks": over,
         "loops": loops,
-        "diagnostics": diagnostics,
+        "diagnostics": [diag.render() for diag in diagnostics],
     }
 
 

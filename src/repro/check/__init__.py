@@ -52,7 +52,7 @@ from .diagnostics import (
     sort_diagnostics,
     worst_severity,
 )
-from .lints import lint_ast, lint_cfg, lint_loop_analysis
+from .lints import lint_ast, lint_cfg
 from .validators import (
     capture_intervals,
     check_allocation,
@@ -72,7 +72,7 @@ __all__ = [
     "snapshot_dependences",
     "ERROR", "NOTE", "SEVERITIES", "WARNING", "CheckError", "Diagnostic",
     "sort_diagnostics", "worst_severity",
-    "lint_ast", "lint_cfg", "lint_loop_analysis",
+    "lint_ast", "lint_cfg",
     "capture_intervals", "check_allocation", "check_def_before_use",
     "check_liveness_consistency", "check_loops",
     "check_register_discipline", "check_structure",

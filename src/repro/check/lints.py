@@ -24,17 +24,8 @@ lowering):
   never loaded; informational because result arrays of a kernel are
   legitimately write-only inside the program.
 
-Analysis-backed lints (:func:`lint_loop_analysis`, run by ``repro
-analyze`` over the scheduled pre-regalloc CFG):
-
-* ``independent-store-ordered`` (note) -- a store in an innermost
-  loop is provably independent of every other memory access in the
-  body (at every iteration distance), yet the conservative DAG
-  builder still serializes it; its ordering arcs cost schedule
-  freedom for nothing;
-* ``kernel-pressure`` (warning) -- an innermost loop body's projected
-  MAXLIVE exceeds the allocatable register bank, so linear-scan
-  allocation will spill inside the hottest code.
+The two loop lints of ``repro analyze`` are read off its per-loop
+records, in :mod:`repro.analysis.report`.
 """
 
 from __future__ import annotations
@@ -126,58 +117,3 @@ def lint_cfg(cfg: Cfg, pass_name: str = "lower") -> list[Diagnostic]:
                 pass_name=pass_name, block=label))
     return diags
 
-
-def lint_loop_analysis(cfg: Cfg, config=None,
-                       pass_name: str = "analyze") -> list[Diagnostic]:
-    """Dependence/pressure lints over innermost single-block loops.
-
-    Imports are deferred: :mod:`repro.analysis` itself builds on the
-    :mod:`repro.check` dataflow engine, so a module-level import here
-    would be circular.
-    """
-    from ..analysis.deps import analyze_loop_body
-    from ..analysis.pressure import block_pressure, over_budget
-    from ..ir.liveness import liveness
-    from ..ir.loops import find_loops
-    from ..machine.config import DEFAULT_CONFIG
-
-    if config is None:
-        config = DEFAULT_CONFIG
-    budget = {"i": config.allocatable_int_regs,
-              "f": config.allocatable_fp_regs}
-    diags: list[Diagnostic] = []
-    loops = find_loops(cfg)
-    _live_in, live_out = liveness(cfg)
-    for header in cfg.order:
-        loop = loops.get(header)
-        if loop is None or loop.body != {header} or header == cfg.entry:
-            continue
-        ops = cfg.blocks[header].body
-        deps = analyze_loop_body(ops)
-        mem_ops = [pos for pos, ins in enumerate(ops) if ins.is_mem]
-        for a in mem_ops:
-            if not ops[a].is_store:
-                continue
-            others = [b for b in mem_ops if b != a]
-            if others and all(deps.verdict(a, b).kind == "independent"
-                              and deps.verdict(b, a).kind
-                              == "independent" for b in others):
-                diags.append(Diagnostic(
-                    severity=NOTE, rule="independent-store-ordered",
-                    message=f"store at body position {a} "
-                            f"({ops[a].op} {ops[a].mem.symbol}) is "
-                            "provably independent of every other "
-                            "memory access in the loop; its ordering "
-                            "arcs are conservative",
-                    pass_name=pass_name, block=header))
-        pressure = block_pressure(cfg.blocks[header].instrs,
-                                  live_out.get(header, frozenset()))
-        for bank in over_budget(pressure, budget):
-            diags.append(Diagnostic(
-                severity=WARNING, rule="kernel-pressure",
-                message=f"loop MAXLIVE of bank '{bank}' is "
-                        f"{pressure[bank]}, over the allocatable "
-                        f"{budget[bank]} registers: allocation will "
-                        "spill inside this loop",
-                pass_name=pass_name, block=header))
-    return diags

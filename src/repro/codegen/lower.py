@@ -44,9 +44,7 @@ from ..isa import (
     VirtualRegAllocator,
     ZERO,
 )
-
-ELEMENT_BYTES = 8
-LINE_BYTES = 32
+from ..machine.config import ELEMENT_BYTES, ELEMENTS_PER_LINE
 
 _CMP_OP = {"==": "CMPEQ", "!=": "CMPNE", "<": "CMPLT", "<=": "CMPLE"}
 _FCMP_OP = {"==": "FCMPEQ", "!=": "FCMPNE", "<": "FCMPLT", "<=": "FCMPLE"}
@@ -91,9 +89,10 @@ class Lowerer:
     # ====================================================== data layout
     def _layout_data(self) -> None:
         address = 64  # keep address 0 unused
+        line_bytes = ELEMENTS_PER_LINE * ELEMENT_BYTES
         assigned = self._assigned_globals()
         for array in self.program.arrays:
-            address = _align(address, LINE_BYTES)
+            address = _align(address, line_bytes)
             symbol = DataSymbol(
                 name=array.name, address=address,
                 size_bytes=array.size_elems * ELEMENT_BYTES,
@@ -110,7 +109,7 @@ class Lowerer:
             self.cfg.symbols[decl.name] = symbol
             self._memory_globals[decl.name] = symbol
             address += ELEMENT_BYTES
-        self.cfg.data_size = _align(address, LINE_BYTES)
+        self.cfg.data_size = _align(address, line_bytes)
 
     def _assigned_globals(self) -> set[str]:
         """Globals some assignment writes.  Unlike

@@ -1,10 +1,10 @@
 """Markdown report generator: measured results vs the paper's numbers.
 
-``python -m repro report`` (or :func:`write_report`) runs the full
-experiment grid (cached) and emits a markdown document comparing every
-headline quantity against the value printed in the paper, with a
-pass/deviation verdict per row.  EXPERIMENTS.md is the curated version
-of this output.
+``python -m repro report`` (or :func:`write_report`) sweeps the grid
+configs its metrics and sections read (cached) and emits a markdown
+document comparing every headline quantity against the value printed
+in the paper, with a pass/deviation verdict per row.  EXPERIMENTS.md
+is the curated version of this output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,12 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from ..workloads.programs import WORKLOAD_ORDER
-from .experiment import ExperimentRunner, arithmetic_mean, geometric_mean
+from .experiment import (
+    CONFIGS,
+    ExperimentRunner,
+    arithmetic_mean,
+    geometric_mean,
+)
 
 
 def coverage(k: int, total: int) -> str:
@@ -265,10 +270,17 @@ def build_report(runner: Optional[ExperimentRunner] = None,
     metrics = [m for m in HEADLINE_METRICS
                if selected is None or set(m.configs) <= selected]
     want_swp = selected is None or _SWP_SECTION_CONFIGS <= selected
-    if getattr(runner, "jobs", 1) > 1:
-        # The headline metrics walk the grid serially; warm the cache
-        # across all worker processes first.
-        runner.sweep(configs=configs)
+    # The metrics walk the grid point by point: sweep exactly the
+    # configs they and the sections read first (and the oracle's base,
+    # so its section lands in this command's manifest).
+    read = {config for metric in metrics for config in metric.configs}
+    if want_swp:
+        read |= _SWP_SECTION_CONFIGS
+    if oracle is not None:
+        read.add("base")
+    if read:
+        runner.sweep(configs=[config for config in CONFIGS
+                              if config in read])
     lines = [
         "# Reproduction report",
         "",

@@ -390,11 +390,5 @@ TABLE_CONFIGS: dict[int, tuple[str, ...]] = {
 def generate_all(runner: ExperimentRunner,
                  benchmarks: Optional[list[str]] = None) -> str:
     """Render every table, separated by blank lines."""
-    parts = []
-    for number in sorted(ALL_TABLES):
-        fn = ALL_TABLES[number]
-        if number <= 3:
-            parts.append(fn().format())
-        else:
-            parts.append(fn(runner, benchmarks).format())
-    return "\n\n\n".join(parts)
+    return "\n\n\n".join(ALL_TABLES[number](runner, benchmarks).format()
+                           for number in sorted(ALL_TABLES))

@@ -1,8 +1,10 @@
 """Natural-loop detection on the CFG.
 
-Used by trace formation: traces never cross loop back edges (paper
-section 5.2), so the trace picker needs to know which CFG edges are
-back edges and which blocks belong to which loop.
+:func:`loop_headers` is the one loop filter of the compiler: the
+software pipeliner, the modulo oracle that grades it and ``repro
+analyze`` (its loop records and lints) all take their loops from it.
+LICM hoists out of every natural loop :func:`find_loops` finds; trace
+formation and the reducibility validator read the back edges.
 """
 
 from __future__ import annotations
@@ -58,6 +60,15 @@ def find_loops(cfg: Cfg) -> dict[str, NaturalLoop]:
         depth = sum(1 for other in loops.values() if loop.header in other.body)
         loop._depth = depth
     return loops
+
+
+def loop_headers(cfg: Cfg) -> list[tuple[str, bool]]:
+    """Every loop header of *cfg* in layout order, with whether its loop
+    is a single block other than the entry: the only loops pipelined."""
+    loops = find_loops(cfg)
+    order_pos = {label: i for i, label in enumerate(cfg.order)}
+    return [(header, header != cfg.entry and loops[header].body == {header})
+            for header in sorted(loops, key=order_pos.get)]
 
 
 def loop_depths(cfg: Cfg) -> dict[str, int]:

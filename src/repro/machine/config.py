@@ -108,7 +108,6 @@ class MachineConfig:
     #: processors that require considerable ILP").  In-order, at most
     #: one memory operation per cycle, branches end the issue group.
     issue_width: int = 1
-    mem_ports: int = 1
 
     #: Architectural register-file sizes (Alpha: 32 + 32).  The
     #: schedulers derive their pressure budgets from these instead of
@@ -195,8 +194,6 @@ class MachineConfig:
             fail(f"mshr_entries must be positive ({self.mshr_entries})")
         if self.issue_width <= 0:
             fail(f"issue_width must be positive ({self.issue_width})")
-        if self.mem_ports <= 0:
-            fail(f"mem_ports must be positive ({self.mem_ports})")
         if self.branch_mispredict_penalty < 0:
             fail(f"branch_mispredict_penalty must be >= 0 "
                  f"({self.branch_mispredict_penalty})")
@@ -301,7 +298,9 @@ def simple_stochastic_config(hit_rate: float = 0.95,
         op_latency=flat_latency,
     )
 
-#: Cache-line geometry used by the compiler's locality analysis: 32-byte
-#: lines, 8-byte (double-word) elements -> 4 elements per line (paper 3.3).
+#: Data-layout geometry: every load and store moves one 8-byte element,
+#: and lines are the L1 data cache's, 4 elements of 32 bytes (paper 3.3).
+#: Lowering aligns arrays to lines, locality analysis groups references
+#: by line, and dependence analysis conflicts accesses within an element.
 ELEMENT_BYTES = 8
 ELEMENTS_PER_LINE = DEFAULT_CONFIG.l1d.line_bytes // ELEMENT_BYTES

@@ -29,8 +29,8 @@ basic block to a specialized Python function:
   predictor state at all.  Cycle counters are placeholders.
 
 ``build_engine`` returns ``None`` whenever the configuration needs
-the interpreter (multi-issue, multiple memory ports, block-frequency
-profiling), keeping the fallback decision in one place.
+the interpreter (multi-issue or block-frequency profiling), keeping
+the fallback decision in one place.
 """
 
 from __future__ import annotations
@@ -751,8 +751,6 @@ def interpreter_reason(sim):
     cfg = sim.config
     if cfg.issue_width != 1:
         return f"issue width {cfg.issue_width}"
-    if cfg.mem_ports != 1:
-        return f"{cfg.mem_ports} memory ports"
     if sim.profiling:
         return "block-frequency profiling"
     return None
@@ -760,7 +758,7 @@ def interpreter_reason(sim):
 
 def build_engine(sim):
     """Compile *sim*'s program, or None if it needs the interpreter
-    (multi-issue, several memory ports, or block-frequency profiling).
+    (multi-issue or block-frequency profiling).
 
     With a ``StallProfile`` attached the blocks also attribute every
     stall cycle to its producer pc; without one the generated source

@@ -69,8 +69,8 @@ class Simulator:
 
     * ``"auto"`` (default): the throughput-oriented compiled engine
       (:mod:`repro.machine.fastsim`) unless the configuration is
-      multi-issue or has several memory ports, or ``profile=True``
-      asks for block counts; the reference interpreter then.
+      multi-issue or ``profile=True`` asks for block counts; the
+      reference interpreter then.
     * ``"fast"`` / ``"reference"``: force one engine.  ``"fast"``
       raises if the configuration is unsupported.
     * ``"profile"``: architectural execution only — block and edge
@@ -261,8 +261,8 @@ class Simulator:
                     raise ValueError(
                         "mode='fast' requested but this configuration "
                         "is not supported by the compiled engine "
-                        "(multi-issue, several memory ports, or "
-                        "profiling); use mode='auto' or 'reference'")
+                        "(multi-issue or profiling); use mode='auto' "
+                        "or 'reference'")
                 mode = "reference"
         self.mode_used = mode
 
@@ -339,10 +339,9 @@ class Simulator:
         # still issue in cycle `t`, of which `mem_left` memory ops.
         # Width 1 (the paper's model) reduces to one bump per issue.
         width = config.issue_width
-        mem_ports = config.mem_ports
         perfect_icache = config.perfect_icache
         slots_left = width
-        mem_left = mem_ports
+        mem_left = 1
 
         # Optional cycle-level stall attribution (obs.StallProfile).
         # `observing` is the only cost on the disabled path; timing and
@@ -391,13 +390,13 @@ class Simulator:
                         m.icache_stall_cycles += itlb_penalty
                         t += itlb_penalty
                         slots_left = width
-                        mem_left = mem_ports
+                        mem_left = 1
                 if not l1i.lookup(fetch_addr):
                     extra = self._ifill_latency(fetch_addr)
                     m.icache_stall_cycles += extra
                     t += extra
                     slots_left = width
-                    mem_left = mem_ports
+                    mem_left = 1
 
             (code, dest, srcs, imm, offset, target, latency, cls_field,
              is_spill, reads_dest, track) = decoded[pc]
@@ -440,14 +439,14 @@ class Simulator:
                             sp_fixed_intlk.get(src_pc, 0) + start - t)
                 t = start
                 slots_left = width
-                mem_left = mem_ports
+                mem_left = 1
 
             # ----- execute
             if code <= 3:                        # LD, FLD, ST, FST
                 if mem_left == 0:        # one memory port per cycle
                     t += 1
                     slots_left = width
-                    mem_left = mem_ports
+                    mem_left = 1
                 if code <= 1:                    # loads
                     addr = regs[srcs[0]] + offset
                     if addr < 0 or addr >= len(memory) << 3:
@@ -463,7 +462,7 @@ class Simulator:
                                 sp_load_intlk.get(pc, 0) + stall)
                         t += stall
                         slots_left = width
-                        mem_left = mem_ports
+                        mem_left = 1
                     regs[dest] = memory[addr >> 3]
                     if track:
                         ready[dest] = t + lat
@@ -491,7 +490,7 @@ class Simulator:
                 if slots_left == 0:
                     t += 1
                     slots_left = width
-                    mem_left = mem_ports
+                    mem_left = 1
                 pc += 1
                 continue
             elif code <= 5:                      # LDI, FLDI
@@ -505,7 +504,7 @@ class Simulator:
                 if slots_left == 0:
                     t += 1
                     slots_left = width
-                    mem_left = mem_ports
+                    mem_left = 1
                 pc += 1
                 continue
             elif code <= 9:                      # BR, BEQ, BNE, HALT
@@ -513,7 +512,7 @@ class Simulator:
                     pc = target
                     t += 2
                     slots_left = width
-                    mem_left = mem_ports
+                    mem_left = 1
                     continue
                 if code == 9:                    # HALT
                     t += 1
@@ -522,7 +521,7 @@ class Simulator:
                 taken = (value == 0) if code == 7 else (value != 0)
                 correct = self.bpred.predict_and_update(pc, taken)
                 slots_left = width
-                mem_left = mem_ports
+                mem_left = 1
                 if correct:
                     t += 2 if taken else 1
                 else:
@@ -536,7 +535,7 @@ class Simulator:
                 if slots_left == 0:
                     t += 1
                     slots_left = width
-                    mem_left = mem_ports
+                    mem_left = 1
                 pc += 1
                 continue
             else:
@@ -623,7 +622,7 @@ class Simulator:
                 if slots_left == 0:
                     t += 1
                     slots_left = width
-                    mem_left = mem_ports
+                    mem_left = 1
                 pc += 1
                 continue
 

@@ -4,9 +4,8 @@ Encodes one basic block's dependence DAG as a decision problem over
 issue cycles (:mod:`repro.oracle.solver`) and minimizes, in
 lexicographic order,
 
-1. the **makespan** (last issue cycle + 1 — the static issue span the
-   list scheduler's :func:`~repro.sched.list_scheduler
-   .estimate_issue_cycles` also measures), then
+1. the **makespan** (last issue cycle + 1 — the static issue span; a
+   heuristic order's is that of its :func:`greedy_issue_times`), then
 2. the **expected load-stall cycles** under the paper's latency model:
    a load with balanced weight ``W`` (its parallelism-derived latency
    estimate, Kerns & Eggers) stalls ``max(0, W - gap)`` cycles, where
@@ -59,8 +58,7 @@ def edge_latency(kind: str, producer_latency: int) -> int:
     """Issue-distance constraint carried by one DAG edge.
 
     True and memory edges wait out the producer's latency; anti/output/
-    order edges only constrain issue order (1 cycle), matching
-    :func:`~repro.sched.list_scheduler.estimate_issue_cycles`.
+    order edges only constrain issue order (1 cycle).
     """
     if kind in (TRUE, MEM):
         return producer_latency
@@ -76,8 +74,7 @@ def block_problem(dag: Dag, config: MachineConfig) -> Problem:
             arcs.append(Arc(src, dst, edge_latency(kind, latencies[src])))
     is_mem = tuple(bool(ins.is_mem) for ins in dag.instrs)
     return Problem(n=len(dag.instrs), arcs=tuple(arcs), is_mem=is_mem,
-                   issue_width=config.issue_width,
-                   mem_ports=config.mem_ports, ii=None)
+                   issue_width=config.issue_width, ii=None)
 
 
 def stall_loads(dag: Dag, weights: Sequence[float]) -> tuple:
@@ -98,9 +95,10 @@ def greedy_issue_times(dag: Dag, order: Sequence[int],
                        config: MachineConfig) -> list:
     """In-order greedy issue times for a schedule *order*.
 
-    Integer twin of :func:`~repro.sched.list_scheduler
-    .estimate_issue_cycles`, generalized to the machine's issue width
-    and memory ports; at width 1 the two agree cycle-for-cycle.
+    Each op issues in the first cycle, no earlier than the previous
+    op's, by which every producer's :func:`edge_latency` has passed
+    and that still has a slot for it: ``issue_width`` ops per cycle,
+    at most one of them a memory op.
     """
     latencies = [config.op_latency.get(ins.op, 1) for ins in dag.instrs]
     times = {}
@@ -114,8 +112,7 @@ def greedy_issue_times(dag: Dag, order: Sequence[int],
         if ready > cycle:
             cycle, used, mem_used = ready, 0, 0
         is_mem = dag.instrs[node].is_mem
-        while used >= config.issue_width or \
-                (is_mem and mem_used >= config.mem_ports):
+        while used >= config.issue_width or (is_mem and mem_used):
             cycle, used, mem_used = cycle + 1, 0, 0
         times[node] = cycle
         used += 1
@@ -146,8 +143,7 @@ def _makespan_lower_bound(problem: Problem) -> int:
     cp = max(est) + 1
     width = math.ceil(n / max(1, problem.issue_width))
     n_mem = sum(problem.is_mem)
-    ports = math.ceil(n_mem / max(1, problem.mem_ports)) if n_mem else 0
-    return max(cp, width, ports)
+    return max(cp, width, n_mem)
 
 
 @dataclass

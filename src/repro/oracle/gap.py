@@ -54,9 +54,10 @@ from ..harness.store import StoreKey
 from ..ir.cfg import Cfg
 from ..ir.dag import build_dag
 from ..ir.liveness import liveness
+from ..ir.loops import loop_headers
 from ..sched.block import schedule_cfg
 from ..sched.list_scheduler import list_schedule
-from ..sched.modulo.pipeline import loop_candidate, loop_headers
+from ..sched.modulo.pipeline import loop_candidate
 from ..sched.weights import TraditionalWeights
 from ..workloads.programs import WORKLOADS
 from .block import (

@@ -62,8 +62,7 @@ def modulo_problem(deps: LoopDeps, config: MachineConfig,
                  for e in deps.edges)
     is_mem = tuple(bool(ins.is_mem) for ins in deps.ops)
     return Problem(n=len(deps.ops), arcs=arcs, is_mem=is_mem,
-                   issue_width=config.issue_width,
-                   mem_ports=config.mem_ports, ii=ii)
+                   issue_width=config.issue_width, ii=ii)
 
 
 def modulo_horizon(n: int, max_latency: int, ii: int) -> int:
@@ -101,7 +100,7 @@ def validate_modulo_times(deps: LoopDeps, config: MachineConfig,
 
     Mirrors the legality rules the kernel verifier enforces: every
     dependence edge satisfied at distance, and no modulo-reservation
-    row over issue width or memory ports.
+    row over issue width or holding two memory operations.
     """
     if lat_cap is None:
         lat_cap = (MAX_STAGES - 1) * ii
@@ -118,7 +117,7 @@ def validate_modulo_times(deps: LoopDeps, config: MachineConfig,
     for row, (used, mem) in sorted(rows.items()):
         if used > config.issue_width:
             problems.append(f"row {row} issues {used} ops")
-        if mem > config.mem_ports:
+        if mem > 1:
             problems.append(f"row {row} issues {mem} memory ops")
     return problems
 

@@ -8,7 +8,7 @@ assignment exist that satisfies
   (dependence arcs; ``distance`` is 0 for acyclic block scheduling and
   the iteration distance for modulo scheduling),
 * resource reservation: at most ``issue_width`` operations share an
-  issue row, at most ``mem_ports`` of them touch memory (rows are
+  issue row, at most one of them touches memory (rows are
   absolute cycles for acyclic problems, ``t mod II`` for modulo
   problems),
 * optional side objectives expressed as an extra bound (see
@@ -88,7 +88,6 @@ class Problem:
     arcs: tuple
     is_mem: tuple
     issue_width: int = 1
-    mem_ports: int = 1
     ii: Optional[int] = None
 
     def arc_weight(self, arc: Arc) -> int:
@@ -226,7 +225,7 @@ class _Search:
         used, mem_used = self.rows.get(self._row(t), (0, 0))
         if used >= self.problem.issue_width:
             return False
-        if is_mem and mem_used >= self.problem.mem_ports:
+        if is_mem and mem_used:
             return False
         return True
 

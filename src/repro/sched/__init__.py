@@ -2,7 +2,6 @@
 
 from .block import schedule_block, schedule_cfg
 from .list_scheduler import (
-    estimate_issue_cycles,
     list_schedule,
     list_schedule_with_weights,
     priorities,
@@ -13,7 +12,7 @@ from .weights import BalancedWeights, TraditionalWeights, WeightModel
 
 __all__ = [
     "schedule_block", "schedule_cfg",
-    "estimate_issue_cycles", "list_schedule", "list_schedule_with_weights",
+    "list_schedule", "list_schedule_with_weights",
     "priorities",
     "ProfileData", "TraceStats", "form_traces", "trace_schedule",
     "BalancedWeights", "TraditionalWeights", "WeightModel",

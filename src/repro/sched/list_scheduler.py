@@ -143,27 +143,3 @@ def list_schedule_with_weights(
         raise RuntimeError("DAG has a cycle; scheduling failed")
     return order
 
-
-def estimate_issue_cycles(dag: Dag, order: list[int],
-                          latencies: list[float]) -> float:
-    """Static cycle estimate for a schedule on the single-issue model.
-
-    Each instruction issues at ``max(prev_issue + 1, operand-ready)``
-    where a true/memory dependence makes the operand ready
-    ``latency(producer)`` cycles after the producer issues.  Used by
-    tests and the synthetic-DAG benchmarks, not by the real simulator.
-    """
-    issue: dict[int, float] = {}
-    clock = 0.0
-    for node in order:
-        earliest = clock
-        for pred, kind in dag.preds[node].items():
-            if kind in ("true", "mem"):
-                ready = issue[pred] + latencies[pred]
-            else:
-                ready = issue[pred] + 1
-            if ready > earliest:
-                earliest = ready
-        issue[node] = earliest
-        clock = earliest + 1
-    return clock

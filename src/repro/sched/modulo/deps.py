@@ -305,23 +305,16 @@ def analyze_deps(ops: list[Instruction], config: MachineConfig,
     # Intra-iteration (distance 0) ordering stays build_dag's job.
     body_deps = analyze_loop_body(ops)
     dropped = exact = conservative = 0
-    mem_ops = [pos for pos, ins in enumerate(ops) if ins.is_mem]
-    for a in mem_ops:
-        for b in mem_ops:
-            if a == b:
-                continue
-            if ops[a].is_load and ops[b].is_load:
-                continue
-            verdict = body_deps.verdict(a, b)
-            distance = verdict.carried_distance()
-            if distance is None:
-                dropped += 1
-                continue
-            if verdict.kind == "exact":
-                exact += 1
-            else:
-                conservative += 1
-            edges.append(DepEdge(a, b, MEM, 1, distance))
+    for a, b, verdict in body_deps.pairs():
+        distance = verdict.carried_distance()
+        if distance is None:
+            dropped += 1
+            continue
+        if verdict.kind == "exact":
+            exact += 1
+        else:
+            conservative += 1
+        edges.append(DepEdge(a, b, MEM, 1, distance))
 
     return LoopDeps(ops=ops, edges=edges, latency=latency,
                     use_dist=use_dist, use_producer=use_producer,

@@ -3,9 +3,9 @@
 ``MII = max(ResMII, RecMII)`` (Rau's formulation):
 
 * **ResMII** -- resource-constrained bound from the machine's issue
-  width and memory ports: with N operations per iteration and M memory
-  operations, no schedule can initiate iterations faster than
-  ``max(ceil(N / issue_width), ceil(M / mem_ports))``.
+  width and its one memory operation per cycle: with N operations per
+  iteration and M memory operations, no schedule can initiate
+  iterations faster than ``max(ceil(N / issue_width), M)``.
 * **RecMII** -- recurrence-constrained bound: for every dependence
   cycle C, ``II >= sum(latency) / sum(distance)`` over C.  Computed by
   binary search on II with a Bellman-Ford-style positive-cycle test on
@@ -25,13 +25,8 @@ from .deps import DepEdge, LoopDeps
 
 def res_mii(deps: LoopDeps, config: MachineConfig) -> int:
     n = len(deps.ops)
-    if n == 0:
-        return 1
     n_mem = sum(1 for ins in deps.ops if ins.is_mem)
-    bound = math.ceil(n / max(1, config.issue_width))
-    if n_mem:
-        bound = max(bound, math.ceil(n_mem / max(1, config.mem_ports)))
-    return max(1, bound)
+    return max(1, math.ceil(n / max(1, config.issue_width)), n_mem)
 
 
 def _has_positive_cycle(n: int, edges: list[DepEdge], ii: int) -> bool:

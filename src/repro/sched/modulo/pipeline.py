@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 from ...ir.cfg import Cfg
 from ...ir.liveness import liveness
-from ...ir.loops import find_loops
+from ...ir.loops import loop_headers
 from ...isa import Reg
 from ...machine import MachineConfig
 from ..weights import WeightModel
@@ -78,15 +78,6 @@ def _fresh_vreg_factory(cfg: Cfg) -> Callable[[str], Reg]:
         return Reg(kind, num, virtual=True)
 
     return fresh
-
-
-def loop_headers(cfg: Cfg) -> list[tuple[str, bool]]:
-    """Every loop header of *cfg* in layout order, with whether its loop
-    is a single block other than the entry: the only loops pipelined."""
-    loops = find_loops(cfg)
-    order_pos = {label: i for i, label in enumerate(cfg.order)}
-    return [(header, header != cfg.entry and loops[header].body == {header})
-            for header in sorted(loops, key=order_pos.get)]
 
 
 @dataclass

@@ -86,9 +86,8 @@ def modulo_schedule(deps: LoopDeps, config: MachineConfig, ii: int,
 
     height = _heights(deps, ii, lat_cap)
     # Modulo reservation table: per row (time mod ii), the ops issued
-    # there and how many of them touch memory.
+    # there, of which at most one touches memory.
     issue_width = max(1, config.issue_width)
-    mem_ports = max(1, config.mem_ports)
     mrt: list[list[int]] = [[] for _ in range(ii)]
     times: list[Optional[int]] = [None] * n
     prev_time = [-1] * n
@@ -97,11 +96,8 @@ def modulo_schedule(deps: LoopDeps, config: MachineConfig, ii: int,
         slot_ops = mrt[row]
         if len(slot_ops) >= issue_width:
             return True
-        if deps.ops[op].is_mem:
-            n_mem = sum(1 for o in slot_ops if deps.ops[o].is_mem)
-            if n_mem >= mem_ports:
-                return True
-        return False
+        return deps.ops[op].is_mem and any(deps.ops[o].is_mem
+                                           for o in slot_ops)
 
     def unplace(op: int) -> None:
         mrt[times[op] % ii].remove(op)

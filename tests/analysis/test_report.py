@@ -9,8 +9,9 @@ from repro.analysis import (
     analysis_summary,
     analyze_program,
     format_report,
+    lint_loop_analysis,
 )
-from repro.check import NOTE, WARNING, lint_loop_analysis
+from repro.check import NOTE, WARNING
 from repro.harness.compile import Options, compile_source
 from repro.harness.experiment import attach_section
 from repro.ir import BasicBlock, Cfg

@@ -36,12 +36,21 @@ def _result(benchmark, scheduler, config, cycles, load_intlk,
 
 class StubRunner:
     """Deterministic fake results: balanced is faster, more so with
-    more optimization; load interlocks shrink accordingly."""
+    more optimization; load interlocks shrink accordingly.  ``sweep``
+    simulates nothing; it records the configs it was asked for."""
 
     SPEED = {"base": 1.0, "lu4": 1.2, "lu8": 1.3, "trs4": 1.25,
              "trs8": 1.35, "la": 1.1, "la+lu4": 1.28, "la+lu8": 1.33,
              "la+trs4": 1.3, "la+trs8": 1.4,
              "swp": 1.15, "la+swp": 1.25}
+
+    def __init__(self):
+        self.swept = []
+
+    def sweep(self, benchmarks=None, schedulers=None, configs=None,
+              jobs=None):
+        self.swept.append(configs)
+        return []
 
     def run(self, benchmark, scheduler, config):
         base = 100_000

@@ -145,9 +145,6 @@ class TestValidate:
     def test_zero_issue_width_rejected(self):
         self._reject("issue_width", issue_width=0)
 
-    def test_zero_mem_ports_rejected(self):
-        self._reject("mem_ports", mem_ports=0)
-
     def test_negative_mispredict_penalty_rejected(self):
         self._reject("branch_mispredict_penalty",
                      branch_mispredict_penalty=-1)

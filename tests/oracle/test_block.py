@@ -14,7 +14,6 @@ from repro.oracle.block import (
 )
 from repro.oracle.solver import Budget, assignment_stall
 from repro.sched import BalancedWeights, TraditionalWeights, list_schedule
-from repro.sched.list_scheduler import estimate_issue_cycles
 from repro.workloads import figure1_dag, random_dag
 
 
@@ -63,16 +62,6 @@ def test_witness_is_a_legal_schedule():
             >= arc.latency
     # Single-issue: one op per cycle.
     assert len(set(result.times)) == len(result.times)
-
-
-def test_greedy_times_match_estimate_issue_cycles():
-    dag = random_dag(20, seed=9, load_fraction=0.3)
-    order = list_schedule(dag, TraditionalWeights())
-    latencies = [DEFAULT_CONFIG.op_latency.get(ins.op, 1)
-                 for ins in dag.instrs]
-    times = greedy_issue_times(dag, order, DEFAULT_CONFIG)
-    assert makespan(times) == int(
-        estimate_issue_cycles(dag, order, latencies))
 
 
 def test_size_gate_reports_skipped_with_heuristic_witness():

@@ -47,8 +47,7 @@ def test_issue_width_row_capacity():
 
 
 def test_memory_ports_bind_separately():
-    problem = _problem(2, is_mem=[True, True], issue_width=2,
-                       mem_ports=1)
+    problem = _problem(2, is_mem=[True, True], issue_width=2)
     assert _solve(problem, [0, 0], [0, 0]).status == UNSAT
     assert _solve(problem, [0, 0], [1, 1]).status == SAT
 

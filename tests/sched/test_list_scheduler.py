@@ -1,11 +1,14 @@
 """List scheduler: priorities, tie-breaking, validity, pressure guard."""
 
+from dataclasses import replace
+
 from repro.ir import TRUE, Dag, build_dag
 from repro.isa import Instruction, MemRef, Reg
+from repro.machine import DEFAULT_CONFIG
+from repro.oracle.block import greedy_issue_times, makespan
 from repro.sched import (
     BalancedWeights,
     TraditionalWeights,
-    estimate_issue_cycles,
     list_schedule,
     list_schedule_with_weights,
     priorities,
@@ -62,15 +65,16 @@ def test_empty_dag_schedules_to_empty():
     assert list_schedule(Dag([]), TraditionalWeights()) == []
 
 
-def test_estimate_issue_cycles_prefers_hoisted_loads():
-    """The static estimator sees fewer stalls when loads are spread."""
+def test_greedy_issue_times_prefers_hoisted_loads():
+    """The static issue span is shorter when loads are spread."""
     dag = parallel_loads_dag(n_loads=3, n_alu=6)
-    latencies = [9.0 if ins.is_load else 1.0 for ins in dag.instrs]
+    config = replace(DEFAULT_CONFIG, op_latency={
+        **DEFAULT_CONFIG.op_latency, "LD": 9, "FLD": 9})
     naive = list(range(len(dag.instrs)))
     scheduled = list_schedule_with_weights(
         dag, BalancedWeights().weights(dag))
-    assert estimate_issue_cycles(dag, scheduled, latencies) <= \
-        estimate_issue_cycles(dag, naive, latencies)
+    assert makespan(greedy_issue_times(dag, scheduled, config)) <= \
+        makespan(greedy_issue_times(dag, naive, config))
 
 
 def test_pressure_guard_limits_simultaneous_live_values():

@@ -148,8 +148,7 @@ def test_res_mii_counts_resources():
     deps = _first_deps(DAXPY)
     n_mem = sum(1 for ins in deps.ops if ins.is_mem)
     expected = max(
-        -(-len(deps.ops) // DEFAULT_CONFIG.issue_width),
-        -(-n_mem // DEFAULT_CONFIG.mem_ports))
+        -(-len(deps.ops) // DEFAULT_CONFIG.issue_width), n_mem)
     assert res_mii(deps, DEFAULT_CONFIG) == expected
 
 
@@ -182,7 +181,7 @@ def test_modulo_schedule_respects_constraints():
         if deps.ops[op].is_mem:
             mem_rows[t % sched.ii] = mem_rows.get(t % sched.ii, 0) + 1
     assert all(n <= DEFAULT_CONFIG.issue_width for n in rows.values())
-    assert all(n <= DEFAULT_CONFIG.mem_ports for n in mem_rows.values())
+    assert all(n <= 1 for n in mem_rows.values())
     # Dependences: t[dst] >= t[src] + lat - d*II (capped latency).
     for e in deps.edges:
         lat = min(e.latency, 3 * sched.ii)

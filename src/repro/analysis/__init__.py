@@ -8,7 +8,6 @@ from .deps import (
     LoopBodyDeps,
     analyze_loop_body,
     classify,
-    classify_source_pair,
 )
 from .locality import LocalityAnalyzer, LocalityStats, analyze_locality
 from .pressure import block_pressure, cfg_pressure, over_budget
@@ -25,7 +24,7 @@ __all__ = [
     "AffineForm", "affine_of", "flatten_subscript",
     "LocalityAnalyzer", "LocalityStats", "analyze_locality",
     "ConflictEquation", "DepVerdict", "LoopBodyDeps",
-    "analyze_loop_body", "classify", "classify_source_pair",
+    "analyze_loop_body", "classify",
     "block_pressure", "cfg_pressure", "over_budget",
     "ANALYSIS_SCHEMA_VERSION", "analysis_summary", "analyze_cfg",
     "analyze_program", "format_report", "lint_loop_analysis",

@@ -1,16 +1,18 @@
-"""Affine analysis of AST index expressions.
+"""Affine forms, and the affine analysis of AST index expressions.
 
-Locality analysis (and the loop transformations' legality checks) need
-array subscripts expressed as affine functions of scalar variables:
-``index = sum(coeff_v * v) + const``.  Anything else — products of two
-variables, divisions, calls — is *not affine* and the reference is
-excluded from reuse analysis, exactly the paper's "index expressions
-that introduce irregularity" limitation (section 5.3).
+Locality analysis, lowering's memory references and the unroller's
+size estimate need array subscripts expressed as affine functions of
+scalar variables: ``index = sum(coeff_v * v) + const``.  Anything else
+— products of two variables, divisions, calls — is *not affine* and
+the reference is excluded from reuse analysis, exactly the paper's
+"index expressions that introduce irregularity" limitation (section
+5.3).  :func:`flatten_subscript` is the AST-level address model; the
+loop dependence analyzer (:mod:`repro.analysis.deps`) builds the same
+:class:`AffineForm` values over the registers of lowered code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..frontend import ast
@@ -83,9 +85,6 @@ class AffineForm:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def free_vars(self) -> set[str]:
-        return {name for name, _ in self.coeffs}
-
     def __str__(self) -> str:
         parts = [f"{c}*{n}" for n, c in self.coeffs]
         parts.append(str(self.const))
@@ -119,22 +118,6 @@ def affine_of(expr: ast.Expr) -> Optional[AffineForm]:
                 return left.scale(right.const)
             return None
     return None
-
-
-@dataclass
-class ArrayAccess:
-    """One array reference with its flattened affine subscript.
-
-    ``flat`` is the affine form of the *element* index after row-major
-    flattening (so spatial stride analysis is in elements).
-    """
-
-    ref: ast.ArrayIndex
-    array: ast.ArrayDecl
-    flat: AffineForm
-    is_store: bool = False
-    enclosing: list[str] = field(default_factory=list)  # induction vars,
-    # outermost first
 
 
 def flatten_subscript(ref: ast.ArrayIndex,

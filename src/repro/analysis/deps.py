@@ -6,39 +6,34 @@ carried distance-1 arc on every may-alias store/load pair, and the
 conflict.  This module closes that gap with the classic dependence-test
 battery over the repo's existing :class:`AffineForm` machinery:
 
-* **ZIV** (zero index variable): both subscripts constant relative to
+* **ZIV** (zero index variable): both addresses constant relative to
   the loop — conflict is a constant-distance fact, decided exactly;
 * **strong SIV** (single index variable): the difference is linear in
   the dependence distance ``d`` alone — the exact integer window of
   conflicting distances is enumerated;
-* **Banerjee**: interval arithmetic over known variable/iteration
-  bounds refutes conflicts the linear tests cannot;
-* **GCD**: divisibility refutation for multi-variable subscripts.
+* **GCD**: divisibility refutation for multi-variable addresses.
 
-Both front ends share one normal form, :class:`ConflictEquation`:
+The battery decides one normal form, :class:`ConflictEquation`:
 
     difference(i, d, v...) =
         iter_coeff * i + dist_coeff * d + sum(free[v] * v) + const
 
-where ``i`` is the normalized iteration number of the *earlier*
-reference, ``d >= 0`` the dependence distance, and the pair conflicts at
-distance ``d`` iff ``|difference| < width`` for some valid assignment
-(``width`` is 1 in the element domain, ``ELEMENT_BYTES`` in the byte
-domain: every LD/FLD/ST/FST moves one element).
+where ``i`` is the iteration number of the *earlier* reference, ``d``
+the dependence distance, and the pair conflicts at distance ``d`` iff
+``|difference| < width`` for some integer assignment of ``i`` and the
+free variables.  Nothing bounds them: no front end derives loop
+bounds, so a bounds-based test (Banerjee's) would never apply.
 
-Two front ends build equations:
-
-* :func:`analyze_loop_body` works on lowered :class:`Instruction`
-  sequences (single-block loop bodies, as handed to the modulo
-  scheduler).  It symbolically executes the integer ALU ops to express
-  every load/store address as an affine form over the *loop-entry*
-  values of registers, derives per-register iteration steps from the
-  body's final state, and classifies every reference pair.  Addresses
-  are in bytes, so the conflict window is ``|delta| <= ELEMENT_BYTES-1``
-  — partial overlap of 8-byte accesses is handled soundly.
-* :func:`classify_source_pair` works on AST-level
-  :class:`ArrayAccess` pairs (element domain, equality is the exact
-  conflict condition) with optional loop bounds enabling Banerjee.
+One front end builds equations: :func:`analyze_loop_body` works on
+lowered :class:`Instruction` sequences (single-block loop bodies, as
+handed to the modulo scheduler).  It symbolically executes the integer
+ALU ops to express every load/store address as an affine form over the
+*loop-entry* values of registers, derives per-register iteration steps
+from the body's final state, and classifies every reference pair.
+Addresses are in bytes and every LD/FLD/ST/FST moves one element, so
+``width`` is ``ELEMENT_BYTES`` and the conflict window is
+``|delta| <= ELEMENT_BYTES-1`` — partial overlap of 8-byte accesses is
+handled soundly.
 
 Verdicts are **directional**: ``classify`` answers "can the second
 reference, ``d`` iterations later, touch the first's location?".
@@ -56,7 +51,7 @@ from typing import Iterator, Optional, Sequence
 from ..isa.instruction import Instruction
 from ..isa.registers import Reg
 from ..machine.config import ELEMENT_BYTES
-from .affine import AffineForm, ArrayAccess
+from .affine import AffineForm
 
 # Verdict kinds.
 INDEPENDENT = "independent"   # provably never conflict (any d >= 0)
@@ -118,8 +113,7 @@ class ConflictEquation:
 
     ``difference = iter_coeff*i + dist_coeff*d + sum(free[v]*v) + const``
     and the references conflict iff ``|difference| < width`` for some
-    assignment consistent with the (optional) bounds.  Bounds are
-    inclusive ``(lo, hi)`` pairs; a missing entry means unbounded.
+    integer assignment; every variable is unbounded.
     """
 
     iter_coeff: int
@@ -127,9 +121,6 @@ class ConflictEquation:
     free_coeffs: tuple[tuple[str, int], ...]
     const: int
     width: int = 1
-    iter_bounds: Optional[tuple[int, int]] = None
-    dist_bounds: Optional[tuple[int, int]] = None
-    var_bounds: tuple[tuple[str, tuple[int, int]], ...] = ()
 
 
 # --------------------------------------------------------------- the tests
@@ -166,38 +157,10 @@ def _siv(eq: ConflictEquation) -> Optional[DepVerdict]:
     return DepVerdict(EXACT, "siv", lo=lo, hi=hi)
 
 
-def _banerjee(eq: ConflictEquation) -> Optional[DepVerdict]:
-    """Banerjee interval test: with every term bounded, the difference
-    lies in a closed interval; if no value within ``width`` of zero is
-    reachable, the pair is independent.  Refutation-only."""
-    lo = hi = eq.const
-    bounds = dict(eq.var_bounds)
-    for coeff, rng in (
-        (eq.iter_coeff, eq.iter_bounds),
-        (eq.dist_coeff, eq.dist_bounds),
-    ):
-        if not coeff:
-            continue
-        if rng is None:
-            return None
-        lo += min(coeff * rng[0], coeff * rng[1])
-        hi += max(coeff * rng[0], coeff * rng[1])
-    for name, coeff in eq.free_coeffs:
-        rng = bounds.get(name)
-        if rng is None:
-            return None
-        lo += min(coeff * rng[0], coeff * rng[1])
-        hi += max(coeff * rng[0], coeff * rng[1])
-    if lo > eq.width - 1 or hi < -(eq.width - 1):
-        return DepVerdict(INDEPENDENT, "banerjee")
-    return None
-
-
 def _gcd(eq: ConflictEquation) -> Optional[DepVerdict]:
     """GCD refutation: the linear part only reaches multiples of the
     coefficient gcd, so if no target ``delta - const`` with
-    ``|delta| < width`` is such a multiple, there is no solution at all
-    (bounds ignored — sound for refutation)."""
+    ``|delta| < width`` is such a multiple, there is no solution at all."""
     g = gcd(abs(eq.iter_coeff), abs(eq.dist_coeff),
             *(abs(c) for _, c in eq.free_coeffs))
     if g <= 1:
@@ -213,61 +176,11 @@ def classify(eq: Optional[ConflictEquation]) -> DepVerdict:
     """Run the test battery; the first decisive test wins."""
     if eq is None:
         return UNKNOWN_VERDICT
-    for test in (_ziv, _siv, _banerjee, _gcd):
+    for test in (_ziv, _siv, _gcd):
         verdict = test(eq)
         if verdict is not None:
             return verdict
     return UNKNOWN_VERDICT
-
-
-# ----------------------------------------------- source-level front end
-def source_pair_equation(
-    a: ArrayAccess, b: ArrayAccess, ivar: str,
-    iter_bounds: Optional[tuple[int, int]] = None,
-    var_bounds: Optional[dict[str, tuple[int, int]]] = None,
-) -> ConflictEquation:
-    """Conflict equation for two AST references to the *same* array.
-
-    Element domain: ``flat_b(i + d, v...) == flat_a(i, v...)`` is the
-    exact conflict condition.  Variables other than *ivar* are loop
-    invariants (or outer inductions) shared by both references.
-    """
-    coeff_a = a.flat.coeff_map()
-    coeff_b = b.flat.coeff_map()
-    step_a = coeff_a.pop(ivar, 0)
-    step_b = coeff_b.pop(ivar, 0)
-    free: dict[str, int] = {}
-    for name in set(coeff_a) | set(coeff_b):
-        diff = coeff_b.get(name, 0) - coeff_a.get(name, 0)
-        if diff:
-            free[name] = diff
-    dist_bounds = None
-    if iter_bounds is not None:
-        dist_bounds = (0, max(0, iter_bounds[1] - iter_bounds[0]))
-    return ConflictEquation(
-        iter_coeff=step_b - step_a,
-        dist_coeff=step_b,
-        free_coeffs=tuple(sorted(free.items())),
-        const=b.flat.const - a.flat.const,
-        width=1,
-        iter_bounds=iter_bounds,
-        dist_bounds=dist_bounds,
-        var_bounds=tuple(sorted((var_bounds or {}).items())),
-    )
-
-
-def classify_source_pair(
-    a: ArrayAccess, b: ArrayAccess, ivar: str,
-    iter_bounds: Optional[tuple[int, int]] = None,
-    var_bounds: Optional[dict[str, tuple[int, int]]] = None,
-) -> DepVerdict:
-    """Directional verdict for AST references (element domain)."""
-    if a.array.name != b.array.name:
-        return DepVerdict(INDEPENDENT, "symbol")
-    if a.flat is None or b.flat is None:
-        return UNKNOWN_VERDICT
-    return classify(source_pair_equation(a, b, ivar, iter_bounds,
-                                         var_bounds))
 
 
 # ----------------------------------------- instruction-level front end

@@ -13,9 +13,14 @@ Strategy notes (all deliberate, see DESIGN.md):
   iteration executes a single conditional branch, like Multiflow's
   loop code.
 * **Symbolic memory references.**  Every load/store carries a
-  :class:`~repro.isa.instruction.MemRef` whose affine subscript uses
-  block-local symbol versions, giving the dependence DAG a sound
-  "same array, provably different element" disambiguator.
+  :class:`~repro.isa.instruction.MemRef`.  An affine subscript is the
+  AST's flattened subscript with each variable replaced by a
+  block-local symbol for the value its register holds (``r<num>#<k>``,
+  renewed when the register is redefined), giving the dependence DAG a
+  sound "same array, provably different element" disambiguator.  This
+  is the only affine model lowering keeps: registers carry none, and
+  the loop dependence analyzer (:mod:`repro.analysis.deps`) recovers
+  addresses from the lowered code itself.
 * **Address CSE + displacement folding.**  Affine subscripts share one
   scaled-index computation per basic block (keyed by their coefficient
   vector) and fold the constant term into the load/store displacement,
@@ -66,9 +71,7 @@ class Lowerer:
         self._addr_cache: dict = {}
         self._promoted: dict[str, Reg] = {}
         self._memory_globals: dict[str, DataSymbol] = {}
-        self._affine: dict[Reg, Optional[AffineForm]] = {}
         self._symbol_counter = 0
-        self._block_symbols: dict[str, str] = {}
 
     # =========================================================== driver
     def lower(self) -> Cfg:
@@ -135,16 +138,12 @@ class Lowerer:
                     if decl.type == ast.FLOAT
                     else ast.IntLit(value=0, type=ast.INT))
                 self._expr(init, dest=reg)
-                self._set_affine(reg, AffineForm.variable(f"g:{decl.name}")
-                                 if decl.type == ast.INT else None)
 
     # ==================================================== block plumbing
     def _set_block(self, block: BasicBlock) -> None:
         self._block = block
-        # Affine symbol versions, value symbols and the shared-address
-        # cache are all block-local (see module docstring).
-        self._block_symbols = {}
-        self._affine = {}
+        # Value symbols and the shared-address cache are block-local
+        # (see module docstring).
         self._reg_sym = {}
         self._addr_cache = {}
 
@@ -163,24 +162,6 @@ class Lowerer:
             self._reg_sym.pop(reg, None)
         return instr
 
-    # ----------------------------------------------------- affine helpers
-    def _fresh_symbol(self, name: str) -> str:
-        self._symbol_counter += 1
-        return f"{name}#{self._symbol_counter}"
-
-    def _read_symbol(self, name: str) -> str:
-        symbol = self._block_symbols.get(name)
-        if symbol is None:
-            symbol = self._fresh_symbol(name)
-            self._block_symbols[name] = symbol
-        return symbol
-
-    def _set_affine(self, reg: Reg, form: Optional[AffineForm]) -> None:
-        self._affine[reg] = form
-
-    def _affine_of(self, reg: Reg) -> Optional[AffineForm]:
-        return self._affine.get(reg)
-
     # ========================================================= statements
     def _stmt_list(self, statements: list[ast.Stmt]) -> None:
         for stmt in statements:
@@ -191,7 +172,7 @@ class Lowerer:
             reg = self.vregs.new("f" if stmt.type == ast.FLOAT else "i")
             self._scopes[-1][stmt.name] = reg
             if stmt.init is not None:
-                self._assign_scalar(stmt.name, reg, stmt.init)
+                self._expr(stmt.init, dest=reg)
         elif isinstance(stmt, ast.Assign):
             self._assign(stmt)
         elif isinstance(stmt, ast.If):
@@ -216,32 +197,18 @@ class Lowerer:
             name = target.ident
             reg = self._lookup(name)
             if reg is None:
-                symbol = self._memory_globals[name]
                 value = self._expr(stmt.value)
                 decl = next(g for g in self.program.globals
                             if g.name == name)
                 self._store_scalar_global(decl, value)
-                self._block_symbols.pop(name, None)
             else:
-                self._assign_scalar(name, reg, stmt.value)
+                self._expr(stmt.value, dest=reg)
         else:
             value = self._expr(stmt.value)
             addr, offset, mem = self._array_address(target)
             op = "FST" if target.type == ast.FLOAT else "ST"
             self._emit(Instruction(op, srcs=(value, addr), offset=offset,
                                    mem=mem))
-
-    def _assign_scalar(self, name: str, reg: Reg,
-                       value_expr: ast.Expr) -> None:
-        self._expr(value_expr, dest=reg)
-        if reg.kind == "i":
-            # Track the value's affine form; if unknown, give the
-            # variable a fresh symbol so older forms can't leak.
-            form = self._affine.get(reg)
-            if form is None:
-                symbol = self._fresh_symbol(name)
-                self._block_symbols[name] = symbol
-                self._set_affine(reg, AffineForm.variable(symbol))
 
     def _store_scalar_global(self, decl: ast.VarDecl, value: Reg) -> None:
         symbol = self._memory_globals[decl.name]
@@ -318,7 +285,6 @@ class Lowerer:
         if isinstance(expr, ast.IntLit):
             reg = dest or self.vregs.new_int()
             self._emit(Instruction("LDI", dest=reg, imm=expr.value))
-            self._set_affine(reg, AffineForm.constant(expr.value))
             return reg
         if isinstance(expr, ast.FloatLit):
             reg = dest or self.vregs.new_fp()
@@ -349,23 +315,13 @@ class Lowerer:
         self._expr(expr.if_false, dest=reg)
         op = "FCMOVNE" if is_fp else "CMOVNE"
         self._emit(Instruction(op, dest=reg, srcs=(cond, true_val)))
-        if not is_fp:
-            self._set_affine(reg, None)
         return reg
 
     def _name_expr(self, expr: ast.Name, dest: Optional[Reg]) -> Reg:
         name = expr.ident
         reg = self._lookup(name)
         if reg is not None:
-            if reg.kind == "i" and self._affine_of(reg) is None:
-                self._set_affine(
-                    reg, AffineForm.variable(self._read_symbol(name)))
-            if dest is None or dest is reg:
-                return reg
-            op = "FMOV" if reg.kind == "f" else "MOV"
-            self._emit(Instruction(op, dest=dest, srcs=(reg,)))
-            self._set_affine(dest, self._affine_of(reg))
-            return dest
+            return self._move(reg, dest)
         # In-memory global scalar.
         symbol = self._memory_globals[name]
         is_fp = expr.type == ast.FLOAT
@@ -373,9 +329,6 @@ class Lowerer:
         mem = MemRef("data", name, affine=({}, 0))
         self._emit(Instruction("FLD" if is_fp else "LD", dest=reg,
                                srcs=(ZERO,), offset=symbol.address, mem=mem))
-        if not is_fp:
-            self._set_affine(
-                reg, AffineForm.variable(self._read_symbol(name)))
         return reg
 
     def _cast_expr(self, expr: ast.Cast, dest: Optional[Reg]) -> Reg:
@@ -390,7 +343,6 @@ class Lowerer:
             return self._move(operand, dest)
         reg = dest or self.vregs.new_int()
         self._emit(Instruction("CVTFI", dest=reg, srcs=(operand,)))
-        self._set_affine(reg, None)
         return reg
 
     def _move(self, source: Reg, dest: Optional[Reg]) -> Reg:
@@ -398,7 +350,6 @@ class Lowerer:
             return source
         op = "FMOV" if source.kind == "f" else "MOV"
         self._emit(Instruction(op, dest=dest, srcs=(source,)))
-        self._set_affine(dest, self._affine_of(source))
         return dest
 
     def _unary_expr(self, expr: ast.UnaryOp, dest: Optional[Reg]) -> Reg:
@@ -410,13 +361,10 @@ class Lowerer:
                 return reg
             reg = dest or self.vregs.new_int()
             self._emit(Instruction("SUB", dest=reg, srcs=(ZERO, operand)))
-            form = self._affine_of(operand)
-            self._set_affine(reg, form.scale(-1) if form else None)
             return reg
         if expr.op == "!":
             reg = dest or self.vregs.new_int()
             self._emit(Instruction("CMPEQ", dest=reg, srcs=(operand,), imm=0))
-            self._set_affine(reg, None)
             return reg
         raise CompileError(f"unknown unary {expr.op!r}", expr.loc)
 
@@ -435,7 +383,6 @@ class Lowerer:
             self._emit(Instruction("CMPNE", dest=rnorm, srcs=(right,), imm=0))
             self._emit(Instruction("AND" if op == "&&" else "OR",
                                    dest=reg, srcs=(lnorm, rnorm)))
-            self._set_affine(reg, None)
             return reg
         if op in _CMP_OP or op in (">", ">="):
             return self._compare(expr, dest)
@@ -460,13 +407,10 @@ class Lowerer:
         if const <= 0:
             return None
         bits = [b for b in range(const.bit_length()) if (const >> b) & 1]
-        form = self._affine_of(src)
-        scaled = form.scale(const) if form is not None else None
         if len(bits) == 1:
             reg = dest or self.vregs.new_int()
             self._emit(Instruction("SLL", dest=reg, srcs=(src,),
                                    imm=bits[0]))
-            self._set_affine(reg, scaled)
             return reg
         if len(bits) == 2:
             high = self.vregs.new_int()
@@ -480,7 +424,6 @@ class Lowerer:
                 self._emit(Instruction("SLL", dest=low, srcs=(src,),
                                        imm=bits[0]))
                 self._emit(Instruction("ADD", dest=reg, srcs=(high, low)))
-            self._set_affine(reg, scaled)
             return reg
         return None
 
@@ -506,29 +449,10 @@ class Lowerer:
             reg = dest or self.vregs.new_int()
             self._emit(Instruction(_INT_ARITH[op], dest=reg, srcs=(left,),
                                    imm=const))
-            form = self._affine_of(left)
-            if form is not None:
-                form = form.add(AffineForm.constant(const),
-                                1 if op == "+" else -1)
-            self._set_affine(reg, form)
             return reg
         right = self._expr(expr.right)
         reg = dest or self.vregs.new_int()
         self._emit(Instruction(_INT_ARITH[op], dest=reg, srcs=(left, right)))
-        form_l = self._affine_of(left)
-        form_r = self._affine_of(right)
-        form = None
-        if form_l is not None and form_r is not None:
-            if op == "+":
-                form = form_l.add(form_r)
-            elif op == "-":
-                form = form_l.add(form_r, -1)
-            elif op == "*":
-                if form_l.is_constant:
-                    form = form_r.scale(form_l.const)
-                elif form_r.is_constant:
-                    form = form_l.scale(form_r.const)
-        self._set_affine(reg, form)
         return reg
 
     def _compare(self, expr: ast.BinOp, dest: Optional[Reg]) -> Reg:
@@ -549,7 +473,6 @@ class Lowerer:
         else:
             right = self._expr(right_expr)
             self._emit(Instruction(table[op], dest=reg, srcs=(left, right)))
-        self._set_affine(reg, None)
         return reg
 
     # ------------------------------------------------------- array access
@@ -561,15 +484,14 @@ class Lowerer:
         self._emit(Instruction("FLD" if is_fp else "LD", dest=reg,
                                srcs=(addr,), offset=offset, mem=mem,
                                locality=locality, group=expr.group))
-        if not is_fp:
-            self._set_affine(reg, None)
         return reg
 
     def _value_symbol(self, reg: Reg) -> str:
         """A block-local symbol naming the register's current value."""
         sym = self._reg_sym.get(reg)
         if sym is None:
-            sym = self._fresh_symbol(f"r{reg.num}")
+            self._symbol_counter += 1
+            sym = f"r{reg.num}#{self._symbol_counter}"
             self._reg_sym[reg] = sym
         return sym
 

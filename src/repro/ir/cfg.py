@@ -27,7 +27,6 @@ class BasicBlock:
         self.label = label
         self.instrs: list[Instruction] = instrs if instrs is not None else []
         self.fallthrough = fallthrough
-        self.freq: float = 0.0          # profile execution count
 
     @property
     def terminator(self) -> Optional[Instruction]:

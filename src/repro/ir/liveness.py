@@ -64,21 +64,3 @@ def liveness(cfg: Cfg, use_def: Optional[dict[str, UseDef]] = None
                 live_in[label] = new_in
                 changed = True
     return live_in, live_out
-
-
-def live_at_each_instruction(block_instrs, live_out: set[Reg]) -> list[set[Reg]]:
-    """Registers live *after* each instruction, last to first order fixed.
-
-    Returns a list parallel to ``block_instrs`` where entry ``i`` is the
-    set of registers live immediately after instruction ``i``.
-    """
-    after: list[set[Reg]] = [set() for _ in block_instrs]
-    live = set(live_out)
-    for index in range(len(block_instrs) - 1, -1, -1):
-        after[index] = set(live)
-        instr = block_instrs[index]
-        for reg in instr.defs():
-            live.discard(reg)
-        for reg in instr.uses():
-            live.add(reg)
-    return after

@@ -69,12 +69,3 @@ def loop_headers(cfg: Cfg) -> list[tuple[str, bool]]:
     order_pos = {label: i for i, label in enumerate(cfg.order)}
     return [(header, header != cfg.entry and loops[header].body == {header})
             for header in sorted(loops, key=order_pos.get)]
-
-
-def loop_depths(cfg: Cfg) -> dict[str, int]:
-    """Per-block loop nesting depth (0 = not in any loop)."""
-    depths = {label: 0 for label in cfg.order}
-    for loop in find_loops(cfg).values():
-        for label in loop.body:
-            depths[label] += 1
-    return depths

@@ -39,10 +39,12 @@ class MemRef:
             compiler-generated spill slots.
         symbol: array/scalar name, or the spill-slot index for stack refs.
         affine: optional ``(coeffs, const)`` pair describing the element
-            index as an affine function of enclosing loop induction
-            variables: ``coeffs`` maps induction-variable names to integer
-            coefficients and ``const`` is the constant term.  ``None``
-            when the subscript is not affine (irregular access).
+            index as an affine function of register values: ``coeffs``
+            maps block-local value symbols (``r<num>#<k>``, one per
+            value a register holds within its block, from
+            ``Lowerer._value_symbol``) to integer coefficients and
+            ``const`` is the constant term.  ``None`` when the
+            subscript is not affine (irregular access).
     """
 
     __slots__ = ("region", "symbol", "affine")

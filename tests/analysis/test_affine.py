@@ -42,9 +42,6 @@ class TestAffineForm:
     def test_scale_by_zero(self):
         assert AffineForm((("i", 2),), 3).scale(0).is_constant
 
-    def test_free_vars(self):
-        assert AffineForm((("i", 1), ("j", 2)), 0).free_vars() == {"i", "j"}
-
 
 class TestAffineOf:
     def test_literal(self):

@@ -1,34 +1,28 @@
 """Symbolic dependence tests: battery units, brute force, mutations."""
 
-from types import SimpleNamespace
-
 import pytest
 
 import repro.analysis.deps as deps_mod
-from repro.analysis.affine import AffineForm
 from repro.analysis.deps import (
     ALWAYS,
     EXACT,
     INDEPENDENT,
     UNKNOWN,
     ConflictEquation,
-    DepVerdict,
-    _banerjee,
     _gcd,
     _siv,
     _ziv,
+    analyze_loop_body,
     classify,
-    classify_source_pair,
 )
+from repro.isa import Instruction, MemRef, Reg
+from repro.machine.config import ELEMENT_BYTES
 
 
-def _eq(iter_coeff=0, dist_coeff=0, free=(), const=0, width=1,
-        iter_bounds=None, dist_bounds=None, var_bounds=()):
+def _eq(iter_coeff=0, dist_coeff=0, free=(), const=0, width=1):
     return ConflictEquation(
         iter_coeff=iter_coeff, dist_coeff=dist_coeff,
-        free_coeffs=tuple(free), const=const, width=width,
-        iter_bounds=iter_bounds, dist_bounds=dist_bounds,
-        var_bounds=tuple(var_bounds))
+        free_coeffs=tuple(free), const=const, width=width)
 
 
 # ------------------------------------------------------------ unit: ZIV
@@ -94,29 +88,6 @@ def test_siv_not_applicable():
     assert _siv(_eq(dist_coeff=1, free=(("m", 1),))) is None
 
 
-# ------------------------------------------------------- unit: Banerjee
-def test_banerjee_refutes_bounded_interval():
-    # i in [0,4], difference = i + 6 in [6,10]: never near zero.
-    v = _banerjee(_eq(iter_coeff=1, const=6, iter_bounds=(0, 4)))
-    assert v.kind == INDEPENDENT and v.test == "banerjee"
-
-
-def test_banerjee_interval_straddles_zero():
-    assert _banerjee(_eq(iter_coeff=1, const=-2,
-                         iter_bounds=(0, 4))) is None
-
-
-def test_banerjee_needs_bounds_for_every_term():
-    assert _banerjee(_eq(iter_coeff=1, const=100)) is None
-    assert _banerjee(_eq(free=(("m", 1),), const=100)) is None
-
-
-def test_banerjee_free_var_bounds():
-    v = _banerjee(_eq(free=(("m", 1),), const=10,
-                      var_bounds=(("m", (0, 2)),)))
-    assert v.kind == INDEPENDENT
-
-
 # ------------------------------------------------------------ unit: GCD
 def test_gcd_refutes_odd_offset():
     # 2i + 2d == -1 has no integer solution: gcd 2 cannot hit 1.
@@ -150,8 +121,6 @@ def test_classify_none_equation_is_unknown():
 def test_classify_battery_order():
     assert classify(_eq(const=0)).test == "ziv"
     assert classify(_eq(dist_coeff=1)).test == "siv"
-    assert classify(_eq(iter_coeff=1, const=9,
-                        iter_bounds=(0, 4))).test == "banerjee"
     assert classify(_eq(iter_coeff=2, dist_coeff=2, const=1)).test == "gcd"
 
 
@@ -160,91 +129,168 @@ def test_classify_gives_up_gracefully():
     assert v.kind == UNKNOWN
 
 
-# ------------------------------------------------- source-level wrapper
-def _access(array, step, const, ivar="i"):
-    flat = (AffineForm.variable(ivar).scale(step)
-            .add(AffineForm.constant(const)))
-    return SimpleNamespace(array=SimpleNamespace(name=array), flat=flat)
+# ----------------------------------------------- loop-body front end
+def _vreg(i):
+    return Reg("i", i, virtual=True)
 
 
-def test_classify_source_pair_different_arrays():
-    a = _access("X", 1, 0)
-    b = _access("Y", 1, 0)
-    v = classify_source_pair(a, b, "i")
-    assert v.kind == INDEPENDENT and v.test == "symbol"
+def _load(dest, base, symbol="X", offset=0):
+    return Instruction("LD", dest=_vreg(dest), srcs=(_vreg(base),),
+                       offset=offset,
+                       mem=MemRef("data", symbol) if symbol else None)
 
 
-def test_classify_source_pair_opaque_subscript_unknown():
-    a = _access("X", 1, 0)
-    b = SimpleNamespace(array=SimpleNamespace(name="X"), flat=None)
-    assert classify_source_pair(a, b, "i").kind == UNKNOWN
+def _store(value, base, symbol="X", offset=0):
+    return Instruction("ST", srcs=(_vreg(value), _vreg(base)),
+                       offset=offset, mem=MemRef("data", symbol))
 
 
-def test_classify_source_pair_shifted_exact():
-    # X[i] vs X[i-1]: b at iteration i+1 rereads a's element.
-    a = _access("X", 1, 0)
-    b = _access("X", 1, -1)
-    v = classify_source_pair(a, b, "i")
-    assert v.kind == EXACT and v.carried_distance() == 1
+#: The induction register every generated body steps by one.
+_I = 0
+
+
+def _step():
+    return Instruction("ADD", dest=_vreg(_I), srcs=(_vreg(_I),),
+                       imm=1)
+
+
+def test_loop_body_different_arrays():
+    deps = analyze_loop_body([_load(1, _I, "X"), _store(1, _I, "Y"),
+                              _step()])
+    for a, b in ((0, 1), (1, 0)):
+        verdict = deps.verdict(a, b)
+        assert verdict.kind == INDEPENDENT and verdict.test == "symbol"
+
+
+def test_loop_body_missing_memref_unknown():
+    deps = analyze_loop_body([_load(1, _I, symbol=None), _store(1, _I),
+                              _step()])
+    assert deps.verdict(0, 1).kind == UNKNOWN
+    assert deps.verdict(1, 0).kind == UNKNOWN
+
+
+def test_loop_body_loaded_address_unknown():
+    # X[P[i]] = X[i]: the store's address is a loaded value, whose
+    # per-iteration step no symbolic execution can know.
+    deps = analyze_loop_body([
+        _load(1, _I, "P"),
+        _load(2, _I, "X"),
+        _store(2, 1, "X"),
+        _step(),
+    ])
+    assert deps.verdict(1, 2).kind == UNKNOWN
+    assert deps.verdict(2, 1).kind == UNKNOWN
+    assert deps.verdict(0, 2).test == "symbol"
+
+
+def test_loop_body_shifted_exact():
+    # X[i] = X[i-1] in lowering's shape for a unit stride (one SLL,
+    # which the MUL-addressed grid below never runs): the load at
+    # iteration i+1 rereads the store's element, and the store never
+    # overwrites an element already read.
+    deps = analyze_loop_body([
+        Instruction("SLL", dest=_vreg(1), srcs=(_vreg(_I),), imm=3),
+        _load(2, 1, offset=-8),
+        _store(2, 1),
+        _step(),
+    ])
+    flow = deps.verdict(2, 1)
+    assert flow.kind == EXACT and flow.carried_distance() == 1
+    assert deps.verdict(1, 2).carried_distance() is None
 
 
 # ------------------------------------------------- brute-force fuzzing
-def _realized_distances(sa, ca, sb, cb, n):
-    """All d = j - i >= 0 with sb*j + cb == sa*i + ca, i,j in [0,n)."""
-    out = set()
-    for i in range(n):
-        for j in range(i, n):
-            if sb * j + cb == sa * i + ca:
-                out.add(j - i)
-    return out
+#
+# Each generated body reads X at byte address 8*sa*i + da and writes X
+# at 8*sb*i + db, the code shape lowering gives X[sa*i + k] (a scaled
+# index plus a displacement), and steps i by one.  Displacements that
+# are not multiples of 8 make two 8-byte accesses overlap partially, so
+# a wrong access width shows up as a missed or invented conflict.
+
+_TRIP = 5
+_STRIDES = range(-2, 3)
+_DISPS = range(-24, 25, 4)
+_LOAD, _STORE = 1, 3        # body positions of the two accesses
 
 
-@pytest.mark.parametrize("sa", range(-2, 3))
-@pytest.mark.parametrize("sb", range(-2, 3))
+def _grid_body(sa, da, sb, db):
+    return [
+        Instruction("MUL", dest=_vreg(1), srcs=(_vreg(_I),),
+                    imm=8 * sa),
+        _load(2, 1, offset=da),
+        Instruction("MUL", dest=_vreg(3), srcs=(_vreg(_I),),
+                    imm=8 * sb),
+        _store(2, 3, offset=db),
+        _step(),
+    ]
+
+
+def _overlap_distances(first, second):
+    """Every ``d = j - i`` (either sign), ``i, j`` in ``[0, _TRIP)``, at
+    which access *second* in iteration ``j`` overlaps access *first* in
+    iteration ``i``; each access is a ``(stride, disp)`` pair."""
+    (s1, d1), (s2, d2) = first, second
+    return {j - i for i in range(_TRIP) for j in range(_TRIP)
+            if abs((8 * s2 * j + d2) - (8 * s1 * i + d1)) < ELEMENT_BYTES}
+
+
+def _grid_verdicts(sa, sb):
+    """``(case, verdict, realized distances)`` for both directions of
+    every displacement pair at strides *sa* (load) and *sb* (store)."""
+    for da in _DISPS:
+        for db in _DISPS:
+            deps = analyze_loop_body(_grid_body(sa, da, sb, db))
+            load, store = (sa, da), (sb, db)
+            case = f"LD X[{sa}*8i{da:+d}] / ST X[{sb}*8i{db:+d}]"
+            yield (f"{case}, store after load",
+                   deps.verdict(_LOAD, _STORE),
+                   _overlap_distances(load, store))
+            yield (f"{case}, load after store",
+                   deps.verdict(_STORE, _LOAD),
+                   _overlap_distances(store, load))
+
+
+@pytest.mark.parametrize("sa", _STRIDES)
+@pytest.mark.parametrize("sb", _STRIDES)
 def test_source_pair_verdicts_sound_and_precise(sa, sb):
-    """Exhaustive check over a coefficient/offset grid at trip 5.
+    """Exhaustive check of ``analyze_loop_body`` over a stride and
+    displacement grid at trip count 5.
 
-    Soundness: every realized same-element pair (i, j) with j >= i must
-    be admitted by ``conflicts_at(j - i)``.  Precision: independent
-    verdicts must have no realized pair, exact windows no realized pair
-    outside them.
+    Soundness: every realized overlap distance must be admitted by
+    ``conflicts_at``.  Precision: an exact window holds only realized
+    distances (within the trip count), ``always`` is realized at every
+    distance, and equal strides are never left ``unknown``.
     """
-    n = 5
-    for ca in range(-3, 4):
-        for cb in range(-3, 4):
-            a = _access("X", sa, ca)
-            b = _access("X", sb, cb)
-            v = classify_source_pair(a, b, "i", iter_bounds=(0, n - 1))
-            realized = _realized_distances(sa, ca, sb, cb, n)
-            for d in realized:
-                assert v.conflicts_at(d), (
-                    f"unsound: {sa}i+{ca} vs {sb}i+{cb} conflicts at "
-                    f"d={d} but verdict is {v}")
-            if v.kind == INDEPENDENT:
-                assert not realized, (
-                    f"imprecise claim: {sa}i+{ca} vs {sb}i+{cb} marked "
-                    f"independent but conflicts at {sorted(realized)}")
-            elif v.kind == EXACT:
-                outside = {d for d in realized
-                           if not v.lo <= d <= v.hi}
-                assert not outside, (
-                    f"window [{v.lo},{v.hi}] misses distances "
-                    f"{sorted(outside)}")
+    span = range(1 - _TRIP, _TRIP)
+    for case, verdict, realized in _grid_verdicts(sa, sb):
+        for d in realized:
+            assert verdict.conflicts_at(d), (
+                f"unsound: {case} overlaps at d={d} but verdict is "
+                f"{verdict}")
+        if verdict.kind == EXACT:
+            missing = {d for d in span if verdict.lo <= d <= verdict.hi
+                       and d not in realized}
+            assert not missing, (
+                f"imprecise: {case} window [{verdict.lo},{verdict.hi}] "
+                f"holds distances {sorted(missing)} with no overlap")
+        elif verdict.kind == ALWAYS:
+            assert realized == set(span), (
+                f"imprecise: {case} is 'always' but overlaps only at "
+                f"{sorted(realized)}")
+        elif verdict.kind == UNKNOWN:
+            assert sa != sb, f"undecided equal-stride pair: {case}"
 
 
 def test_fuzzer_grid_is_not_vacuous():
-    """The grid exercises every verdict kind except UNKNOWN."""
-    kinds = set()
-    n = 5
-    for sa in range(-2, 3):
-        for sb in range(-2, 3):
-            for ca in range(-3, 4):
-                for cb in range(-3, 4):
-                    v = classify_source_pair(
-                        _access("X", sa, ca), _access("X", sb, cb),
-                        "i", iter_bounds=(0, n - 1))
-                    kinds.add(v.kind)
+    """The grid reaches every decided verdict kind and every test."""
+    kinds, tests = set(), set()
+    for sa in _STRIDES:
+        for sb in _STRIDES:
+            for _case, verdict, _realized in _grid_verdicts(sa, sb):
+                kinds.add(verdict.kind)
+                tests.add(verdict.test)
     assert {INDEPENDENT, EXACT, ALWAYS} <= kinds
+    assert {"ziv", "siv", "gcd"} <= tests
 
 
 # ------------------------------------------------------- mutation tests
@@ -272,13 +318,6 @@ def test_mutation_siv_is_load_bearing(monkeypatch):
     assert classify(eq).kind == UNKNOWN
 
 
-def test_mutation_banerjee_is_load_bearing(monkeypatch):
-    eq = _eq(free=(("m", 1),), const=10, var_bounds=(("m", (0, 2)),))
-    assert classify(eq).kind == INDEPENDENT
-    _knockout(monkeypatch, "_banerjee")
-    assert classify(eq).kind == UNKNOWN
-
-
 def test_mutation_gcd_is_load_bearing(monkeypatch):
     eq = _eq(dist_coeff=2, free=(("m", 2),), const=1)
     assert classify(eq).kind == INDEPENDENT
@@ -289,20 +328,13 @@ def test_mutation_gcd_is_load_bearing(monkeypatch):
 def test_mutation_battery_stays_sound(monkeypatch):
     """Removing any single test keeps the battery sound.
 
-    Whatever subset of tests runs, every realized conflict distance
-    must still be admitted — mutations may only lose precision."""
-    n = 5
-    for name in ("_ziv", "_siv", "_banerjee", "_gcd"):
+    Whatever subset of tests runs, every realized overlap distance must
+    still be admitted — mutations may only lose precision."""
+    for name in ("_ziv", "_siv", "_gcd"):
         with monkeypatch.context() as m:
             m.setattr(deps_mod, name, lambda eq: None)
             for sa in (-2, 0, 1, 2):
-                for sb in (-1, 1, 2):
-                    for ca in (-3, 0, 2):
-                        for cb in (-2, 0, 1):
-                            v = classify_source_pair(
-                                _access("X", sa, ca),
-                                _access("X", sb, cb),
-                                "i", iter_bounds=(0, n - 1))
-                            for d in _realized_distances(
-                                    sa, ca, sb, cb, n):
-                                assert v.conflicts_at(d)
+                for sb in (-1, 0, 2):
+                    for _case, verdict, realized in _grid_verdicts(sa, sb):
+                        assert all(verdict.conflicts_at(d)
+                                   for d in realized)

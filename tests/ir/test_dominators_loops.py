@@ -7,7 +7,6 @@ from repro.ir import (
     find_back_edges,
     find_loops,
     immediate_dominators,
-    loop_depths,
     reverse_postorder,
 )
 from repro.isa import Instruction, Reg
@@ -90,12 +89,8 @@ def test_nested_loop_bodies_and_depths():
     loops = find_loops(cfg)
     assert loops["outer"].body == {"outer", "inner", "latch"}
     assert loops["inner"].body == {"inner"}
-    depths = loop_depths(cfg)
-    assert depths["entry"] == 0
-    assert depths["outer"] == 1
-    assert depths["inner"] == 2
-    assert depths["latch"] == 1
-    assert depths["done"] == 0
+    assert loops["outer"].depth == 1
+    assert loops["inner"].depth == 2
 
 
 def test_acyclic_graph_has_no_loops():

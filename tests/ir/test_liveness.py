@@ -1,7 +1,6 @@
 """Backward liveness over the CFG."""
 
 from repro.ir import BasicBlock, Cfg, block_use_def, liveness
-from repro.ir.liveness import live_at_each_instruction
 from repro.isa import Instruction, Reg
 
 
@@ -56,15 +55,3 @@ def test_loop_keeps_induction_variable_live():
     assert v(0) in live_in["loop"]
     assert v(0) in live_out["loop"]           # live around the back edge
     assert v(0) in live_out["entry"]
-
-
-def test_live_at_each_instruction():
-    instrs = [
-        Instruction("LDI", dest=v(0), imm=1),
-        Instruction("ADD", dest=v(1), srcs=(v(0),), imm=1),
-        Instruction("ADD", dest=v(2), srcs=(v(1),), imm=1),
-    ]
-    after = live_at_each_instruction(instrs, live_out={v(2)})
-    assert after[0] == {v(0)}
-    assert after[1] == {v(1)}
-    assert after[2] == {v(2)}

@@ -104,7 +104,7 @@ def _allocated_profile(cfg, options):
     snapshot = copy.deepcopy(cfg)
     allocate_registers(snapshot)
     sim = Simulator(snapshot.linearize(), config=options.config,
-                    profile=True, mode="profile")
+                    mode="profile")
     sim.run()
     return ProfileData(block_counts=dict(sim.block_counts),
                        edge_counts=dict(sim.edge_counts))

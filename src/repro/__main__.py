@@ -352,8 +352,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     result = compile_source(source, options, name, observer=observer)
     stall_profile = observer.stall_profile(name, args.scheduler,
                                            args.config)
-    sim = Simulator(result.program, config=options.config,
-                    stall_profile=stall_profile)
+    with observer.span("sim-build"):
+        sim = Simulator(result.program, config=options.config,
+                        stall_profile=stall_profile)
+        sim.build()
     with observer.span("simulate", benchmark=name) as span:
         metrics = sim.run()
         span.annotate(cycles=metrics.total_cycles,
@@ -380,7 +382,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(prov.format_table(n=args.top))
     print("\npipeline phases:")
     for span_name, entry in \
-            observer.trace.summary()["by_name"].items():
+            observer.summary()["trace"]["by_name"].items():
         print(f"  {span_name:<18} x{entry['count']:<4} "
               f"{entry['us'] / 1e3:9.2f} ms")
     paths = observer.write(args.out)

@@ -15,14 +15,16 @@ battery over the repo's existing :class:`AffineForm` machinery:
 
 The battery decides one normal form, :class:`ConflictEquation`:
 
-    difference(i, d, v...) =
-        iter_coeff * i + dist_coeff * d + sum(free[v] * v) + const
+    difference(d, v...) = dist_coeff * d + sum(free[v] * v) + const
 
-where ``i`` is the iteration number of the *earlier* reference, ``d``
-the dependence distance, and the pair conflicts at distance ``d`` iff
-``|difference| < width`` for some integer assignment of ``i`` and the
-free variables.  Nothing bounds them: no front end derives loop
-bounds, so a bounds-based test (Banerjee's) would never apply.
+where ``d`` is the dependence distance, and the pair conflicts at
+distance ``d`` iff ``|difference| < width`` for some integer
+assignment of the free variables.  The iteration number ``i`` of the
+earlier reference has no term of its own: its coefficient is an
+integer combination of the free coefficients, so it is 0 when there
+are none and adds nothing to their gcd when there are.  Nothing bounds
+the variables: no front end derives loop bounds, so a bounds-based
+test (Banerjee's) would never apply.
 
 One front end builds equations: :func:`analyze_loop_body` works on
 lowered :class:`Instruction` sequences (single-block loop bodies, as
@@ -111,12 +113,11 @@ UNKNOWN_VERDICT = DepVerdict(UNKNOWN)
 class ConflictEquation:
     """Normal form of "when do two references overlap?".
 
-    ``difference = iter_coeff*i + dist_coeff*d + sum(free[v]*v) + const``
-    and the references conflict iff ``|difference| < width`` for some
-    integer assignment; every variable is unbounded.
+    ``difference = dist_coeff*d + sum(free[v]*v) + const`` and the
+    references conflict iff ``|difference| < width`` for some integer
+    assignment; every variable is unbounded.
     """
 
-    iter_coeff: int
     dist_coeff: int
     free_coeffs: tuple[tuple[str, int], ...]
     const: int
@@ -132,7 +133,7 @@ class ConflictEquation:
 
 def _ziv(eq: ConflictEquation) -> Optional[DepVerdict]:
     """Zero-index-variable: the difference is a compile-time constant."""
-    if eq.iter_coeff or eq.dist_coeff or eq.free_coeffs:
+    if eq.dist_coeff or eq.free_coeffs:
         return None
     if abs(eq.const) < eq.width:
         return DepVerdict(ALWAYS, "ziv")
@@ -145,7 +146,7 @@ def _siv(eq: ConflictEquation) -> Optional[DepVerdict]:
     ``|dist_coeff*d + const| <= width-1`` solves to a closed integer
     window of distances — the *exact* set of conflicting distances.
     """
-    if eq.iter_coeff or eq.free_coeffs or not eq.dist_coeff:
+    if eq.free_coeffs or not eq.dist_coeff:
         return None
     slack = eq.width - 1
     bound_a = (-eq.const - slack) / eq.dist_coeff
@@ -161,8 +162,7 @@ def _gcd(eq: ConflictEquation) -> Optional[DepVerdict]:
     """GCD refutation: the linear part only reaches multiples of the
     coefficient gcd, so if no target ``delta - const`` with
     ``|delta| < width`` is such a multiple, there is no solution at all."""
-    g = gcd(abs(eq.iter_coeff), abs(eq.dist_coeff),
-            *(abs(c) for _, c in eq.free_coeffs))
+    g = gcd(abs(eq.dist_coeff), *(abs(c) for _, c in eq.free_coeffs))
     if g <= 1:
         return None
     slack = eq.width - 1
@@ -286,16 +286,18 @@ def _address_equation(
 
         addr_b(i+d) - addr_a(i) =
             sum((cB_v - cA_v) * v_0)                  (free terms)
-          + i * sum((cB_v - cA_v) * step_v)           (iter_coeff)
+          + i * sum((cB_v - cA_v) * step_v)
           + d * sum(cB_v * step_v)                    (dist_coeff)
           + (constB - constA)
 
-    Returns ``None`` (→ unknown verdict) when a needed step is unknown:
-    the iter/dist coefficients would be wrong, not just loose.
+    The ``i`` term is dropped: it is an integer combination of the
+    free coefficients, so it decides no test (see the module
+    docstring).  Returns ``None`` (→ unknown verdict) when a needed
+    step is unknown: the dist coefficient would be wrong, not just
+    loose.
     """
     coeff_a = addr_a.coeff_map()
     coeff_b = addr_b.coeff_map()
-    iter_coeff = 0
     dist_coeff = 0
     free: dict[str, int] = {}
     for name in set(coeff_a) | set(coeff_b):
@@ -306,10 +308,8 @@ def _address_equation(
             return None
         if cb - ca:
             free[name] = cb - ca
-            iter_coeff += (cb - ca) * step
         dist_coeff += cb * step
     return ConflictEquation(
-        iter_coeff=iter_coeff,
         dist_coeff=dist_coeff,
         free_coeffs=tuple(sorted(free.items())),
         const=addr_b.const - addr_a.const,

@@ -305,8 +305,7 @@ def _collect_profile(cfg: Cfg, options: Options) -> ProfileData:
     lowering already puts the entry block first.
     """
     program = cfg.linearize()
-    sim = Simulator(program, config=options.config, profile=True,
-                    mode="profile")
+    sim = Simulator(program, config=options.config, mode="profile")
     sim.run()
     return ProfileData(block_counts=dict(sim.block_counts),
                        edge_counts=dict(sim.edge_counts))

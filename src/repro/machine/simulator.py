@@ -17,8 +17,9 @@ memory) while modelling timing with a scoreboard:
   branch predictor; correctly predicted taken branches cost one bubble
   (Table 3's 2-cycle branch), mispredicts cost the redirect penalty.
 
-A ``profile=True`` run additionally counts basic-block and edge
-frequencies (the paper's profiling step for trace selection).
+A ``profile=True`` or ``mode="profile"`` run additionally counts
+basic-block and edge frequencies (the paper's profiling step for trace
+selection).
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ if TYPE_CHECKING:   # no runtime dependency on the obs package
     from ..obs.stall import StallProfile
 
 _MASK64 = (1 << 64) - 1
+
+#: Words of architectural memory past the program's data.
+STACK_WORDS = 4096
 
 # Opcode dispatch codes (grouped: arithmetic decoded generically).
 # "FLDI2" (code 37) is not a registered opcode, so no program contains
@@ -75,8 +79,8 @@ class Simulator:
       raises if the configuration is unsupported.
     * ``"profile"``: architectural execution only — block and edge
       frequencies (and instruction-class counts) without any stall,
-      cache or branch-prediction modelling.  Only valid together with
-      ``profile=True``; cycle counters are placeholders.
+      cache or branch-prediction modelling; it implies
+      ``profile=True``.  Cycle counters are placeholders.
 
     Both timing engines are bit-identical in every :class:`Metrics`
     counter and in final architectural state
@@ -89,17 +93,14 @@ class Simulator:
     def __init__(self, program: MachineProgram,
                  config: MachineConfig = DEFAULT_CONFIG,
                  profile: bool = False,
-                 stack_words: int = 4096,
                  stall_profile: Optional["StallProfile"] = None,
                  mode: str = "auto") -> None:
         config.validate()
         if mode not in ("auto", "fast", "reference", "profile"):
             raise ValueError(f"unknown simulator mode {mode!r}")
-        if mode == "profile" and not profile:
-            raise ValueError("mode='profile' requires profile=True")
         self.program = program
         self.config = config
-        self.profiling = profile
+        self.profiling = profile or mode == "profile"
         self.mode = mode
         #: Engine :meth:`build` chose, which :meth:`run` executes.
         self.mode_used: Optional[str] = None
@@ -112,7 +113,7 @@ class Simulator:
         # Architectural memory: one Python number per 8-byte word.
         data_words = max(program.data_size // 8, 16)
         self.stack_base = data_words * 8
-        self.memory: list = [0] * (data_words + stack_words)
+        self.memory: list = [0] * (data_words + STACK_WORDS)
         for symbol in program.symbols.values():
             start = symbol.address // 8
             count = symbol.size_bytes // 8
@@ -153,7 +154,7 @@ class Simulator:
         self.block_counts: dict[str, int] = {}
         self.edge_counts: dict[tuple[str, str], int] = {}
         self._block_starts: dict[int, str] = {}
-        if profile:
+        if self.profiling:
             for label, index in program.labels.items():
                 self._block_starts[index] = label
 

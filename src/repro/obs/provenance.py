@@ -11,7 +11,7 @@ derived from, and the load's position before and after scheduling.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass
@@ -36,11 +36,6 @@ class LoadScheduleRecord:
         """Slots moved up (positive) or down (negative) by scheduling."""
         return self.slot_before - self.slot_after
 
-    def to_json(self) -> dict:
-        data = asdict(self)
-        data["hoisted_by"] = self.hoisted_by
-        return data
-
 
 class ScheduleProvenance:
     """All load scheduling decisions of one (or more) compilations."""
@@ -53,12 +48,6 @@ class ScheduleProvenance:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def by_block(self) -> dict[str, list[LoadScheduleRecord]]:
-        out: dict[str, list[LoadScheduleRecord]] = {}
-        for record in self.records:
-            out.setdefault(record.block, []).append(record)
-        return out
 
     def balanced_deviations(self) -> list[LoadScheduleRecord]:
         """Loads whose balanced weight differs from the architectural
@@ -80,11 +69,3 @@ class ScheduleProvenance:
                 f"{r.slot_before:>4}->{r.slot_after:<4} "
                 f"{r.hoisted_by:>+6}")
         return "\n".join(lines)
-
-    def to_json(self, top: int = 50) -> dict:
-        deviations = self.balanced_deviations()
-        return {
-            "loads": len(self.records),
-            "deviating_loads": len(deviations),
-            "records": [r.to_json() for r in self.records[:top]],
-        }

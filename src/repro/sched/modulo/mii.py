@@ -29,28 +29,50 @@ def res_mii(deps: LoopDeps, config: MachineConfig) -> int:
     return max(1, math.ceil(n / max(1, config.issue_width)), n_mem)
 
 
-def _has_positive_cycle(n: int, edges: list[DepEdge], ii: int) -> bool:
-    """Longest-path relaxation; True when some cycle has positive weight.
+def _positive_cycle(n: int, edges: list[DepEdge],
+                    ii: int) -> Optional[list[DepEdge]]:
+    """Longest-path relaxation on edge weights ``latency - distance * ii``.
 
-    Edge weight is ``latency - distance * ii``; a positive-weight cycle
-    means the recurrence cannot be satisfied at this ii.
+    Returns the edges of a positive-weight cycle in dependence order (the
+    recurrence cannot be satisfied at this ii), or None when there is none.
     """
     dist = [0] * n
+    pred: list[Optional[DepEdge]] = [None] * n
     for _ in range(n):
         changed = False
         for e in edges:
             w = e.latency - e.distance * ii
             if dist[e.src] + w > dist[e.dst]:
                 dist[e.dst] = dist[e.src] + w
+                pred[e.dst] = e
                 changed = True
         if not changed:
-            return False
+            return None
     # Still relaxing after n passes: a positive cycle exists.
-    for e in edges:
-        w = e.latency - e.distance * ii
-        if dist[e.src] + w > dist[e.dst]:
-            return True
-    return False
+    start = next((e for e in edges
+                  if dist[e.src] + e.latency - e.distance * ii
+                  > dist[e.dst]), None)
+    if start is None:
+        return None
+    pred[start.dst] = start
+    # Walk n predecessor hops to guarantee we are inside the cycle,
+    # then collect it.
+    node = start.dst
+    for _ in range(n):
+        edge = pred[node]
+        assert edge is not None
+        node = edge.src
+    cycle: list[DepEdge] = []
+    cursor = node
+    while True:
+        edge = pred[cursor]
+        assert edge is not None
+        cycle.append(edge)
+        cursor = edge.src
+        if cursor == node:
+            break
+    cycle.reverse()
+    return cycle
 
 
 def rec_mii(deps: LoopDeps) -> int:
@@ -62,12 +84,12 @@ def rec_mii(deps: LoopDeps) -> int:
     # above by the total latency of the graph.
     hi = max(1, sum(e.latency for e in deps.edges))
     lo = 1
-    if not _has_positive_cycle(n, deps.edges, lo):
+    if _positive_cycle(n, deps.edges, lo) is None:
         return 1
     # Invariant: lo infeasible, hi feasible.
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _has_positive_cycle(n, deps.edges, mid):
+        if _positive_cycle(n, deps.edges, mid) is not None:
             lo = mid
         else:
             hi = mid
@@ -115,61 +137,24 @@ def recurrence_witness(deps: LoopDeps,
                        ) -> Optional[RecurrenceWitness]:
     """Extract the critical recurrence certifying ``rec_mii``.
 
-    Runs the positive-cycle test at ``rec_mii - 1`` with predecessor
-    tracking and walks the predecessor chain into the cycle.  Returns
+    The positive-cycle test at ``rec_mii - 1`` finds it.  Returns
     None when no recurrence binds (``rec_mii == 1``).
     """
     if rec is None:
         rec = rec_mii(deps)
     if rec <= 1:
         return None
-    n = len(deps.ops)
     ii = rec - 1
-    dist = [0] * n
-    pred: list[Optional[DepEdge]] = [None] * n
-    start: Optional[int] = None
-    for _ in range(n):
-        changed = False
-        for e in deps.edges:
-            w = e.latency - e.distance * ii
-            if dist[e.src] + w > dist[e.dst]:
-                dist[e.dst] = dist[e.src] + w
-                pred[e.dst] = e
-                changed = True
-        if not changed:
-            break
-    for e in deps.edges:
-        w = e.latency - e.distance * ii
-        if dist[e.src] + w > dist[e.dst]:
-            pred[e.dst] = e
-            start = e.dst
-            break
-    if start is None:
+    cycle = _positive_cycle(len(deps.ops), deps.edges, ii)
+    if cycle is None:
         return None
-    # Walk n predecessor hops to guarantee we are inside the cycle,
-    # then collect it.
-    node = start
-    for _ in range(n):
-        edge = pred[node]
-        assert edge is not None
-        node = edge.src
-    cycle_edges: list[DepEdge] = []
-    cursor = node
-    while True:
-        edge = pred[cursor]
-        assert edge is not None
-        cycle_edges.append(edge)
-        cursor = edge.src
-        if cursor == node:
-            break
-    cycle_edges.reverse()
-    latency = sum(e.latency for e in cycle_edges)
-    distance = sum(e.distance for e in cycle_edges)
+    latency = sum(e.latency for e in cycle)
+    distance = sum(e.distance for e in cycle)
     if distance <= 0 or latency - distance * ii <= 0:
         return None           # not a binding cycle; fail safe
     return RecurrenceWitness(
-        ops=tuple(e.src for e in cycle_edges),
-        kinds=tuple(e.kind for e in cycle_edges),
+        ops=tuple(e.src for e in cycle),
+        kinds=tuple(e.kind for e in cycle),
         latency=latency, distance=distance)
 
 
@@ -179,12 +164,3 @@ def compute_mii(deps: LoopDeps, config: MachineConfig) -> tuple[int, int, int]:
     rec = rec_mii(deps)
     return res, rec, max(res, rec)
 
-
-def compute_mii_detailed(
-        deps: LoopDeps, config: MachineConfig
-) -> tuple[int, int, int, Optional[RecurrenceWitness]]:
-    """``(res_mii, rec_mii, mii, witness)`` — the witness names the
-    critical recurrence whenever the recurrence bound binds."""
-    res = res_mii(deps, config)
-    rec = rec_mii(deps)
-    return res, rec, max(res, rec), recurrence_witness(deps, rec)

@@ -39,7 +39,7 @@ from ...machine import MachineConfig
 from ..weights import WeightModel
 from .deps import LoopDeps, LoopShape, analyze_deps, match_loop
 from .kernel import Mve, build_pipeline, plan_mve
-from .mii import compute_mii_detailed
+from .mii import compute_mii, recurrence_witness
 from .scheduler import ModuloSchedule, modulo_schedule
 from .stats import (
     REASON_NO_II,
@@ -166,7 +166,8 @@ def _pipeline_one(cfg: Cfg, header: str, config: MachineConfig,
     shape, deps = candidate.shape, candidate.deps
     live_into_exit = candidate.live_into_exit
 
-    res, rec, mii, witness = compute_mii_detailed(deps, config)
+    res, rec, mii = compute_mii(deps, config)
+    witness = recurrence_witness(deps, rec)
     bail.res_mii, bail.rec_mii, bail.mii = res, rec, mii
     recurrence = witness.to_json() if witness is not None else None
     bail.recurrence = recurrence

@@ -19,10 +19,9 @@ from repro.isa import Instruction, MemRef, Reg
 from repro.machine.config import ELEMENT_BYTES
 
 
-def _eq(iter_coeff=0, dist_coeff=0, free=(), const=0, width=1):
-    return ConflictEquation(
-        iter_coeff=iter_coeff, dist_coeff=dist_coeff,
-        free_coeffs=tuple(free), const=const, width=width)
+def _eq(dist_coeff=0, free=(), const=0, width=1):
+    return ConflictEquation(dist_coeff=dist_coeff, free_coeffs=tuple(free),
+                            const=const, width=width)
 
 
 # ------------------------------------------------------------ unit: ZIV
@@ -48,7 +47,6 @@ def test_ziv_byte_domain_partial_overlap():
 
 def test_ziv_not_applicable_with_any_coefficient():
     assert _ziv(_eq(dist_coeff=1)) is None
-    assert _ziv(_eq(iter_coeff=1)) is None
     assert _ziv(_eq(free=(("m", 1),))) is None
 
 
@@ -84,23 +82,22 @@ def test_siv_negative_window_direction():
 
 def test_siv_not_applicable():
     assert _siv(_eq(dist_coeff=0, const=1)) is None
-    assert _siv(_eq(iter_coeff=1, dist_coeff=1)) is None
     assert _siv(_eq(dist_coeff=1, free=(("m", 1),))) is None
 
 
 # ------------------------------------------------------------ unit: GCD
 def test_gcd_refutes_odd_offset():
-    # 2i + 2d == -1 has no integer solution: gcd 2 cannot hit 1.
-    v = _gcd(_eq(iter_coeff=2, dist_coeff=2, const=1))
+    # 2d + 2m == -1 has no integer solution: gcd 2 cannot hit 1.
+    v = _gcd(_eq(dist_coeff=2, free=(("m", 2),), const=1))
     assert v.kind == INDEPENDENT and v.test == "gcd"
 
 
 def test_gcd_divisible_offset_inconclusive():
-    assert _gcd(_eq(iter_coeff=2, dist_coeff=2, const=2)) is None
+    assert _gcd(_eq(dist_coeff=2, free=(("m", 2),), const=2)) is None
 
 
 def test_gcd_unit_gcd_inconclusive():
-    assert _gcd(_eq(iter_coeff=2, dist_coeff=3, const=1)) is None
+    assert _gcd(_eq(dist_coeff=3, free=(("m", 2),), const=1)) is None
 
 
 def test_gcd_byte_domain_respects_width():
@@ -121,11 +118,12 @@ def test_classify_none_equation_is_unknown():
 def test_classify_battery_order():
     assert classify(_eq(const=0)).test == "ziv"
     assert classify(_eq(dist_coeff=1)).test == "siv"
-    assert classify(_eq(iter_coeff=2, dist_coeff=2, const=1)).test == "gcd"
+    assert classify(_eq(dist_coeff=2, free=(("m", 2),),
+                        const=1)).test == "gcd"
 
 
 def test_classify_gives_up_gracefully():
-    v = classify(_eq(iter_coeff=1, const=0))
+    v = classify(_eq(free=(("m", 1),), const=0))
     assert v.kind == UNKNOWN
 
 

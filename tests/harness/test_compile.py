@@ -95,7 +95,7 @@ def test_profile_prerun_needs_no_register_allocation():
     profile = _collect_profile(cfg, options)
     assert cfg.format() == before
     assert len(cfg.linearize()) < len(allocated_program)
-    sim = Simulator(allocated_program, profile=True, mode="profile")
+    sim = Simulator(allocated_program, mode="profile")
     sim.run()
     assert profile.block_counts and profile.edge_counts
     assert profile.block_counts == sim.block_counts

@@ -309,16 +309,10 @@ class TestModeSelection:
         sim.run()
         assert sim.mode_used == "reference"
 
-    def test_profile_mode_requires_profile_flag(self):
-        program = assemble_instrs([Instruction("LDI", dest=v(0),
-                                               imm=1)])
-        with pytest.raises(ValueError, match="profile"):
-            Simulator(program, mode="profile")
-
     def test_profile_mode_matches_reference_counts(self):
         program = compile_source(
             SMALL_KERNEL, Options(scheduler="none")).program
-        fast = Simulator(program, profile=True, mode="profile")
+        fast = Simulator(program, mode="profile")
         fast.run()
         ref = Simulator(program, profile=True, mode="reference")
         ref.run()

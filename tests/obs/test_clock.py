@@ -4,7 +4,9 @@ The disabled observer reads its clock once when a span opens and once
 when it closes, and keeps each span's self seconds (its duration less
 its child spans).  A grid point's phase timings are exactly the spans
 opened inside its ``grid-point`` span, so they sum to that span's
-duration.  An integer-tick clock makes all of this exact.
+duration.  A tracing observer keeps those same spans, timed by the
+same two reads, so its trace and the manifest agree.  An integer-tick
+clock makes all of this exact.
 """
 
 from __future__ import annotations
@@ -18,20 +20,31 @@ from repro.obs import Observer, TracingObserver
 from repro.workloads import WORKLOADS
 
 
+class _TickClock:
+    """Integer-tick clock: reads 1, 2, 3, ... and counts its reads."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def __call__(self) -> int:
+        self.reads += 1
+        return self.reads
+
+
 class _TickObserver(Observer):
     """Disabled observer on an integer-tick clock that counts spans."""
 
     def __init__(self) -> None:
-        self.reads = 0
-        self.spans = 0
-        super().__init__(clock=self._tick)
+        self.clock = _TickClock()
+        self.opened = 0
+        super().__init__(clock=self.clock)
 
-    def _tick(self) -> int:
-        self.reads += 1
-        return self.reads
+    @property
+    def reads(self) -> int:
+        return self.clock.reads
 
     def span(self, name: str, **attrs):
-        self.spans += 1
+        self.opened += 1
         return super().span(name, **attrs)
 
 
@@ -68,7 +81,7 @@ def test_tracing_observer_keeps_the_same_dict():
             span.annotate(blocks=3)
     assert set(observer.seconds) == {"outer", "inner"}
     assert all(value > 0 for value in observer.seconds.values())
-    spans = {sp.name: sp for sp in observer.trace.spans}
+    spans = {sp.name: sp for sp in observer.spans}
     assert set(spans) == {"outer", "inner"}
     assert spans["inner"].args == {"blocks": 3}
 
@@ -81,7 +94,7 @@ def test_point_reads_the_clock_twice_per_span(config):
     first_read = observer.reads + 1
     _, timing = _execute_grid_point(WORKLOADS["ora"], "balanced",
                                     config, observer=observer)
-    assert observer.reads == 2 * observer.spans
+    assert observer.reads == 2 * observer.opened
     # grid-point is the first span the point opens and the last it
     # closes: its duration runs from the point's first tick to its last.
     assert timing.total_seconds == observer.reads - first_read
@@ -90,6 +103,31 @@ def test_point_reads_the_clock_twice_per_span(config):
     assert ("profile" in timing.phase_seconds) == (config == "trs4")
     assert ("swp" in timing.phase_seconds) == (config == "swp")
     assert observer.seconds == {}
+
+
+@pytest.mark.parametrize("config", ["trs4", "swp"])
+def test_traced_point_reads_the_clock_twice_per_span(config):
+    clock = _TickClock()
+    observer = TracingObserver(clock=clock)
+    created = clock.reads
+    _, timing = _execute_grid_point(WORKLOADS["ora"], "balanced",
+                                    config, observer=observer)
+    spans = observer.spans
+    assert clock.reads - created == 2 * len(spans)
+
+    def self_ticks(span):
+        return span.end - span.start - sum(
+            child.end - child.start for child in spans
+            if child.depth == span.depth + 1
+            and span.start < child.start < span.end)
+
+    # The manifest's phases are the kept spans' self times, exactly.
+    kept = {}
+    for span in spans:
+        kept[span.name] = kept.get(span.name, 0) + self_ticks(span)
+    assert timing.phase_seconds == kept
+    [point] = [span for span in spans if span.name == "grid-point"]
+    assert point.end - point.start == timing.total_seconds
 
 
 def test_timing_cost_is_per_stage_not_per_instruction():
@@ -102,8 +140,8 @@ def test_timing_cost_is_per_stage_not_per_instruction():
         observer = _TickObserver()
         result, _ = _execute_grid_point(
             WORKLOADS[benchmark], "balanced", "base", observer=observer)
-        assert observer.reads == 2 * observer.spans
-        shapes[benchmark] = (observer.spans, result.static_instructions,
+        assert observer.reads == 2 * observer.opened
+        shapes[benchmark] = (observer.opened, result.static_instructions,
                              result.instructions)
     spans = {count for count, _, _ in shapes.values()}
     assert len(spans) == 1, shapes

@@ -120,6 +120,6 @@ def test_traced_sweep_runs_the_fast_engine(tmp_path):
 
 def test_null_observer_spans_are_reusable():
     with NULL_OBSERVER.span("anything", attr=1) as sp:
-        sp.annotate(more=2)     # must be a silent no-op
+        sp.annotate(more=2)     # on a span nothing keeps
     assert NULL_OBSERVER.stall_profile("x", "y", "z") is None
     assert not NULL_OBSERVER.enabled

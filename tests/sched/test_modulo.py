@@ -299,20 +299,6 @@ def test_recurrence_witness_absent_without_recurrence():
     assert recurrence_witness(deps, rec=1) is None
 
 
-def test_compute_mii_detailed_matches_compute_mii():
-    from repro.sched.modulo.mii import compute_mii_detailed
-
-    deps = _first_deps(REDUCTION)
-    res, rec, mii = compute_mii(deps, DEFAULT_CONFIG)
-    d_res, d_rec, d_mii, witness = compute_mii_detailed(
-        deps, DEFAULT_CONFIG)
-    assert (d_res, d_rec, d_mii) == (res, rec, mii)
-    if rec > 1:
-        assert witness is not None and witness.ii_bound == rec
-    else:
-        assert witness is None
-
-
 def test_pipeline_stats_record_recurrence():
     result = _compile(REDUCTION, swp=True)
     stats = result.modulo_stats

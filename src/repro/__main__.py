@@ -380,11 +380,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"{deviating} with non-architectural weights; "
               f"top {args.top} by weight delta):")
         print(prov.format_table(n=args.top))
-    print("\npipeline phases:")
+    print("\npipeline phases (self time):")
     for span_name, entry in \
             observer.summary()["trace"]["by_name"].items():
         print(f"  {span_name:<18} x{entry['count']:<4} "
-              f"{entry['us'] / 1e3:9.2f} ms")
+              f"{observer.seconds[span_name] * 1e3:9.2f} ms")
     paths = observer.write(args.out)
     print(f"\ntrace written: {paths['jsonl']}, {paths['chrome']}",
           file=sys.stderr)

@@ -19,7 +19,7 @@ applies it to each trial block order.
 
 All results are ``{"i": n, "f": m}`` dictionaries (integer and
 floating-point banks), comparable directly against the allocatable
-sizes in :class:`repro.machine.config.MachineConfig`.
+sizes in :data:`repro.isa.ALLOCATABLE`.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from ..check.boundary import _NullValidator
 from ..check.diagnostics import NOTE, WARNING, Diagnostic
 from ..ir.cfg import Cfg
 from ..ir.loops import loop_headers
-from ..machine.config import DEFAULT_CONFIG, MachineConfig
+from ..isa import ALLOCATABLE, PRESSURE_LIMIT
 from .deps import INDEPENDENT, analyze_loop_body
 from .pressure import BANKS, cfg_pressure, over_budget
 
@@ -53,13 +53,7 @@ class _PreRegallocSnapshot(_NullValidator):
         self.cfg = copy.deepcopy(cfg)
 
 
-def _budget(config: MachineConfig) -> dict[str, int]:
-    return {"i": config.allocatable_int_regs,
-            "f": config.allocatable_fp_regs}
-
-
-def _loop_reports(cfg: Cfg, pressure: dict[str, dict[str, int]],
-                  budget: dict[str, int]
+def _loop_reports(cfg: Cfg, pressure: dict[str, dict[str, int]]
                   ) -> tuple[list[dict], list[Diagnostic]]:
     """One record per innermost single-block loop, and the lints read
     off those records."""
@@ -93,13 +87,13 @@ def _loop_reports(cfg: Cfg, pressure: dict[str, dict[str, int]],
                             "arcs are conservative",
                     pass_name="analyze", block=header))
         maxlive = pressure.get(header, {"i": 0, "f": 0})
-        over = over_budget(maxlive, budget)
+        over = over_budget(maxlive, ALLOCATABLE)
         for bank in over:
             diags.append(Diagnostic(
                 severity=WARNING, rule="kernel-pressure",
                 message=f"loop MAXLIVE of bank '{bank}' is "
                         f"{maxlive[bank]}, over the allocatable "
-                        f"{budget[bank]} registers: allocation will "
+                        f"{ALLOCATABLE[bank]} registers: allocation will "
                         "spill inside this loop",
                 pass_name="analyze", block=header))
         reports.append({
@@ -116,17 +110,14 @@ def _loop_reports(cfg: Cfg, pressure: dict[str, dict[str, int]],
     return reports, diags
 
 
-def lint_loop_analysis(cfg: Cfg, config: MachineConfig = DEFAULT_CONFIG
-                       ) -> list[Diagnostic]:
+def lint_loop_analysis(cfg: Cfg) -> list[Diagnostic]:
     """The two loop lints over a scheduled pre-regalloc CFG."""
-    return _loop_reports(cfg, cfg_pressure(cfg), _budget(config))[1]
+    return _loop_reports(cfg, cfg_pressure(cfg))[1]
 
 
-def analyze_cfg(cfg: Cfg, config: MachineConfig = DEFAULT_CONFIG,
-                benchmark: str = "program",
+def analyze_cfg(cfg: Cfg, benchmark: str = "program",
                 options_label: str = "balanced") -> dict:
     """Dependence + pressure report over a scheduled pre-regalloc CFG."""
-    budget = _budget(config)
     pressure = cfg_pressure(cfg)
     peak = {"i": 0, "f": 0}
     over = []
@@ -136,15 +127,15 @@ def analyze_cfg(cfg: Cfg, config: MachineConfig = DEFAULT_CONFIG,
             continue
         for bank in BANKS:
             peak[bank] = max(peak[bank], counts[bank])
-        if over_budget(counts, budget):
+        if over_budget(counts, ALLOCATABLE):
             over.append(label)
-    loops, diagnostics = _loop_reports(cfg, pressure, budget)
+    loops, diagnostics = _loop_reports(cfg, pressure)
     return {
         "schema": ANALYSIS_SCHEMA_VERSION,
         "benchmark": benchmark,
         "options": options_label,
-        "pressure_limit": config.pressure_limit,
-        "budget": budget,
+        "pressure_limit": PRESSURE_LIMIT,
+        "budget": dict(ALLOCATABLE),
         "blocks": len(cfg.order),
         "max_live": peak,
         "over_budget_blocks": over,
@@ -163,8 +154,7 @@ def analyze_program(source: str, options=None,
     snapshot = _PreRegallocSnapshot()
     compile_source(source, options, name, validator=snapshot)
     assert snapshot.cfg is not None
-    return analyze_cfg(snapshot.cfg, options.config, name,
-                       options.label())
+    return analyze_cfg(snapshot.cfg, name, options.label())
 
 
 def format_report(report: dict) -> str:

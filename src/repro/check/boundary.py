@@ -81,7 +81,6 @@ class PipelineValidator:
         self.diagnostics: list[Diagnostic] = []
         self.boundaries: list[str] = []
         self._schedule_snapshot: Optional[DepSnapshot] = None
-        self._swp_snapshot: Optional[DepSnapshot] = None
         self._intervals: Optional[dict] = None
 
     # ------------------------------------------------------------ report
@@ -137,23 +136,6 @@ class PipelineValidator:
             diags += self._structural(cfg, pass_name)
             self._report(diags)
 
-    def before_swp(self, cfg: Cfg) -> None:
-        """Fresh snapshot: swp runs over the already-scheduled CFG."""
-        self._swp_snapshot = snapshot_dependences(cfg)
-
-    def after_swp(self, cfg: Cfg) -> None:
-        """Kernel-aware dependence check after modulo scheduling."""
-        pass_name = "sched.modulo"
-        self.boundaries.append(pass_name)
-        with self.observer.span("validate", boundary=pass_name,
-                                mode="kernel"):
-            diags: list[Diagnostic] = []
-            if self._swp_snapshot is not None:
-                diags += check_dependences(cfg, self._swp_snapshot,
-                                           pass_name, mode="kernel")
-            diags += self._structural(cfg, pass_name)
-            self._report(diags)
-
     def before_regalloc(self, cfg: Cfg) -> None:
         """Capture pre-allocation live intervals for the overlap check."""
         self._intervals = capture_intervals(cfg)
@@ -195,12 +177,6 @@ class _NullValidator:
 
     def after_schedule(self, cfg: Cfg, pass_name: str,
                        mode: str) -> None:
-        pass
-
-    def before_swp(self, cfg: Cfg) -> None:
-        pass
-
-    def after_swp(self, cfg: Cfg) -> None:
         pass
 
     def before_regalloc(self, cfg: Cfg) -> None:

@@ -10,9 +10,10 @@ spill-after-def code, marked ``is_spill`` so the simulator can count
 spill and restore instructions (a paper metric, and the mechanism
 behind the unroll-by-8 regressions in Table 4).
 
-Register conventions (see :mod:`repro.isa.registers`): r31/f31 zero,
-r30 stack pointer, r28/r29 and f29/f30 reserved as spill scratch —
-leaving 28 allocatable integer and 29 allocatable FP registers.
+Register conventions (the table in :mod:`repro.isa.registers`): the
+free lists are :data:`~repro.isa.ALLOCATABLE` (r0-r27, f0-f28) and
+spill code goes through :data:`~repro.isa.SPILL_SCRATCH` (r28/r29,
+f29/f30); r30 is the stack pointer and r31/f31 read zero.
 """
 
 from __future__ import annotations
@@ -22,18 +23,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from ..ir import Cfg, liveness
-from ..isa import Instruction, MemRef, Reg, SP
+from ..isa import ALLOCATABLE, SPILL_SCRATCH, Instruction, MemRef, Reg, SP
 
-#: Allocatable registers per bank.  Integer: r0-r27 (r28/r29 spill
-#: scratch, r30 stack pointer, r31 zero).  Floating point: f0-f28
-#: (f29/f30 spill scratch, f31 zero).
-N_ALLOCATABLE = {"i": 28, "f": 29}
-#: Spill scratch registers per bank -- the single source of truth;
-#: the machine-code verifier (:mod:`repro.codegen.verify`) imports
-#: this table rather than mirroring the numbers.
-SPILL_SCRATCH = {"i": (Reg("i", 28), Reg("i", 29)),
-                 "f": (Reg("f", 29), Reg("f", 30))}
-_SCRATCH = SPILL_SCRATCH
 _interval_end = itemgetter(0)
 
 
@@ -85,8 +76,8 @@ class RegisterAllocator:
     def allocate(self) -> AllocationResult:
         intervals = self._intervals()
         order = sorted(intervals, key=lambda r: intervals[r][0])
-        free = {"i": [Reg("i", n) for n in range(N_ALLOCATABLE["i"])],
-                "f": [Reg("f", n) for n in range(N_ALLOCATABLE["f"])]}
+        free = {kind: [Reg(kind, n) for n in range(count)]
+                for kind, count in ALLOCATABLE.items()}
         active: dict[str, list[tuple[int, Reg]]] = {"i": [], "f": []}
         assignment: dict[Reg, Reg] = {}
         spilled: dict[Reg, int] = {}
@@ -167,10 +158,10 @@ class RegisterAllocator:
                 return replace[reg]
             if reg in spilled:
                 index = scratch_next[reg.kind]
-                if index >= len(_SCRATCH[reg.kind]):
+                if index >= len(SPILL_SCRATCH[reg.kind]):
                     raise RuntimeError("out of spill scratch registers")
                 scratch_next[reg.kind] = index + 1
-                scratch = _SCRATCH[reg.kind][index]
+                scratch = SPILL_SCRATCH[reg.kind][index]
                 slot = spilled[reg]
                 op = "FLD" if reg.kind == "f" else "LD"
                 pre.append(Instruction(
@@ -190,14 +181,14 @@ class RegisterAllocator:
                 scratch = replace.get(dest)
                 if scratch is None:
                     index = scratch_next[dest.kind]
-                    if index >= len(_SCRATCH[dest.kind]):
+                    if index >= len(SPILL_SCRATCH[dest.kind]):
                         # Both scratches feed sources; the dest write
                         # happens after the reads, so reusing the first
                         # scratch is safe.
-                        scratch = _SCRATCH[dest.kind][0]
+                        scratch = SPILL_SCRATCH[dest.kind][0]
                     else:
                         scratch_next[dest.kind] = index + 1
-                        scratch = _SCRATCH[dest.kind][index]
+                        scratch = SPILL_SCRATCH[dest.kind][index]
                 slot = spilled[dest]
                 op = "FST" if dest.kind == "f" else "ST"
                 post.append(Instruction(

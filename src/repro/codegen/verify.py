@@ -18,11 +18,10 @@ they become mysterious simulation failures:
 from __future__ import annotations
 
 from ..analysis.deps import analyze_loop_body
-from ..isa import MachineProgram
-from .regalloc import SPILL_SCRATCH
+from ..isa import SP, SPILL_SCRATCH, MachineProgram
 
-#: Scratch register numbers per bank, derived from the allocator's
-#: own table so the two can never drift apart.
+#: Scratch register numbers per bank, derived from the register table
+#: the allocator reads, so the two can never drift apart.
 _SCRATCH_NUMS = {kind: tuple(reg.num for reg in regs)
                  for kind, regs in SPILL_SCRATCH.items()}
 
@@ -31,8 +30,7 @@ class VerificationError(Exception):
     """A generated program violates a well-formedness rule."""
 
 
-def verify_program(program: MachineProgram,
-                   allow_virtual: bool = False) -> None:
+def verify_program(program: MachineProgram) -> None:
     """Raise :class:`VerificationError` on the first violation."""
     program.resolve()           # undefined labels raise ValueError
     instructions = program.instructions
@@ -41,26 +39,24 @@ def verify_program(program: MachineProgram,
 
     for index, instr in enumerate(instructions):
         for reg in instr.defs():
-            if not allow_virtual and reg.virtual:
+            if reg.virtual:
                 raise VerificationError(
                     f"virtual register {reg} written {_at(index, instr)}")
-            if not reg.virtual and reg.num == 31:
+            if reg.is_zero:
                 raise VerificationError(
                     f"write to hardwired zero register {_at(index, instr)}")
-            if not reg.virtual and reg.kind == "i" and reg.num == 30:
+            if reg is SP:
                 raise VerificationError(
                     f"write to the stack pointer {_at(index, instr)}")
-            if (not reg.virtual and not instr.is_spill
-                    and _is_scratch(reg)
+            if (not instr.is_spill and _is_scratch(reg)
                     and not _scratch_consumer_nearby(instructions, index)):
                 raise VerificationError(
                     f"scratch register {reg} written outside spill "
                     f"code {_at(index, instr)}")
-        if not allow_virtual:
-            for reg in instr.uses():
-                if reg.virtual:
-                    raise VerificationError(
-                        f"virtual register {reg} read {_at(index, instr)}")
+        for reg in instr.uses():
+            if reg.virtual:
+                raise VerificationError(
+                    f"virtual register {reg} read {_at(index, instr)}")
 
         if instr.is_mem:
             if instr.mem is None:

@@ -266,7 +266,7 @@ def compile_source(source: str, options: Options = Options(),
             # the non-kernel blocks keep their balanced/traditional
             # list schedules, and the modulo scheduler reuses the same
             # weight model for its dependence latencies.
-            validator.before_swp(cfg)
+            validator.before_schedule(cfg)
             with observer.span("swp") as span:
                 modulo_stats = pipeline_loops(cfg, options.config,
                                               model)
@@ -275,7 +275,7 @@ def compile_source(source: str, options: Options = Options(),
                     span.annotate(
                         loops_attempted=modulo_stats.attempted,
                         loops_pipelined=modulo_stats.pipelined)
-            validator.after_swp(cfg)
+            validator.after_schedule(cfg, "sched.modulo", mode="kernel")
 
         validator.before_regalloc(cfg)
         with observer.span("regalloc") as span:

@@ -133,19 +133,17 @@ class ResultStore:
         return path
 
     # -------------------------------------------------------- reaping
-    def reap_orphans(self, older_than: Optional[float] = None,
-                     grace: float = REAP_GRACE_SECONDS) -> list[Path]:
+    def reap_orphans(self) -> list[Path]:
         """Unlink temp files abandoned by crashed/killed writers.
 
-        *older_than* is a UNIX timestamp (default: now); any ``*.tmp``
-        file under the root whose mtime predates ``older_than - grace``
-        cannot belong to a live writer of the current run and is
-        removed.  Returns the reaped paths (for logging/tests).
+        Any ``*.tmp`` file under the root last modified more than
+        :data:`REAP_GRACE_SECONDS` ago cannot belong to a live writer
+        of the current run and is removed.  Returns the reaped paths
+        (for logging/tests).
         """
         if not self.root.is_dir():
             return []
-        cutoff = (time.time() if older_than is None else older_than) \
-            - grace
+        cutoff = time.time() - REAP_GRACE_SECONDS
         reaped: list[Path] = []
         for path in self.root.rglob(f"*{TMP_SUFFIX}"):
             try:

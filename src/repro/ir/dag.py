@@ -25,7 +25,7 @@ to measure MAXLIVE (:func:`repro.analysis.pressure.block_pressure`).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..isa import Instruction, Locality, Reg
 
@@ -123,17 +123,21 @@ class Dag:
         return "\n".join(lines)
 
 
+def _may_alias(a: Instruction, b: Instruction) -> bool:
+    """The memory-disambiguation rule: the symbolic
+    :class:`~repro.isa.instruction.MemRef`s decide, and an operation
+    without one conflicts with everything."""
+    if a.mem is None or b.mem is None:
+        return True
+    return a.mem.conflicts_with(b.mem)
+
+
 def build_dag(instrs: list[Instruction],
-              may_alias: Optional[Callable[[Instruction, Instruction], bool]]
-              = None,
               live_out: Optional[Iterable[Reg]] = None) -> Dag:
     """Build the dependence DAG for a straight-line instruction list.
 
-    ``may_alias`` overrides the default memory-disambiguation rule
-    (used by tests and ablations); the default consults the symbolic
-    :class:`~repro.isa.instruction.MemRef` on each memory operation and
-    is conservative when one is missing.  ``live_out`` is carried on
-    the DAG as :attr:`Dag.live_out`.
+    Memory operations are ordered by :func:`_may_alias`; ``live_out``
+    is carried on the DAG as :attr:`Dag.live_out`.
     """
     dag = Dag(instrs, live_out)
     add_edge = dag.add_edge
@@ -141,12 +145,6 @@ def build_dag(instrs: list[Instruction],
     uses_since_def: dict[Reg, list[int]] = {}
     mem_ops: list[int] = []
     group_miss: dict[int, int] = {}   # locality group id -> miss load index
-
-    if may_alias is None:
-        def may_alias(a: Instruction, b: Instruction) -> bool:
-            if a.mem is None or b.mem is None:
-                return True
-            return a.mem.conflicts_with(b.mem)
 
     for j, instr in enumerate(instrs):
         # Register dependences.
@@ -173,7 +171,7 @@ def build_dag(instrs: list[Instruction],
                 other = instrs[i]
                 if is_load and other.is_load:
                     continue
-                if may_alias(other, instr):
+                if _may_alias(other, instr):
                     add_edge(i, j, MEM)
             mem_ops.append(j)
 

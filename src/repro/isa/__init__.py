@@ -12,10 +12,11 @@ from .opcodes import (
     opinfo,
 )
 from .registers import (
+    ALLOCATABLE,
     FZERO,
-    NUM_FP_REGS,
-    NUM_INT_REGS,
+    PRESSURE_LIMIT,
     SP,
+    SPILL_SCRATCH,
     ZERO,
     Reg,
     VirtualRegAllocator,
@@ -28,8 +29,8 @@ from .program import DataSymbol, MachineProgram, assemble
 __all__ = [
     "BRANCH_OPS", "COMMUTATIVE_OPS", "LOAD_OPS", "MEM_OPS", "OPCODES",
     "STORE_OPS", "OpClass", "OpInfo", "opinfo",
-    "FZERO", "NUM_FP_REGS", "NUM_INT_REGS", "SP", "ZERO", "Reg",
-    "VirtualRegAllocator", "freg", "ireg",
+    "ALLOCATABLE", "FZERO", "PRESSURE_LIMIT", "SP", "SPILL_SCRATCH",
+    "ZERO", "Reg", "VirtualRegAllocator", "freg", "ireg",
     "Instruction", "Locality", "MemRef",
     "DataSymbol", "MachineProgram", "assemble",
 ]

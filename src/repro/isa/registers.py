@@ -1,17 +1,19 @@
-"""Register model: virtual and physical integer/floating-point registers.
+"""Register model: virtual and physical integer/floating-point registers,
+and the one table of what the allocator may assign.
 
 The compiler works on an unbounded supply of virtual registers; the
 linear-scan allocator (:mod:`repro.codegen.regalloc`) maps them onto the
-Alpha's 32 integer and 32 floating-point physical registers.  Integer
-register 31 is hardwired to zero (Alpha convention) and register 30 is
-reserved as the stack pointer for spill slots, leaving 30 allocatable
-integer registers and 31 allocatable FP registers (f31 reads as 0.0).
+Alpha's 32 integer and 32 floating-point physical registers.  Register
+31 of each bank is hardwired to zero (r31 reads 0, f31 reads 0.0), r30
+is the stack pointer for spill slots, and r28/r29 and f29/f30 are the
+allocator's spill scratch registers.  That leaves 28 allocatable
+integer registers (r0-r27) and 29 allocatable FP registers (f0-f28):
+:data:`ALLOCATABLE`, the budget that the allocator, the schedulers'
+pressure limits, the pipeliner and ``repro analyze`` all read.
 """
 
 from __future__ import annotations
 
-NUM_INT_REGS = 32
-NUM_FP_REGS = 32
 ZERO_REG_NUM = 31          # r31 / f31 hardwired to zero
 STACK_POINTER_NUM = 30     # r30 reserved for the spill/local area base
 
@@ -69,6 +71,19 @@ def freg(num: int) -> Reg:
 ZERO = ireg(ZERO_REG_NUM)
 FZERO = freg(ZERO_REG_NUM)
 SP = ireg(STACK_POINTER_NUM)
+
+#: Registers the allocator can assign, per bank: r0-r27 and f0-f28.
+ALLOCATABLE = {"i": 28, "f": 29}
+#: Spill scratch registers per bank: the allocator restores spilled
+#: values into them and stores spilled results from them, and the
+#: machine-code verifier rejects any other write to them.
+SPILL_SCRATCH = {"i": (ireg(28), ireg(29)), "f": (freg(29), freg(30))}
+#: Live-value count past which the list scheduler stops *adding*
+#: pressure (it keeps scheduling, just stops preferring
+#: latency-stretching candidates): the smaller allocatable bank less a
+#: headroom of 4, which covers allocator temporaries and the
+#: inexactness of the scheduler's own live estimate.
+PRESSURE_LIMIT = min(ALLOCATABLE.values()) - 4
 
 
 class VirtualRegAllocator:

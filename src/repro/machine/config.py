@@ -57,22 +57,6 @@ class ConfigError(ValueError):
     """A :class:`MachineConfig` violates a structural constraint."""
 
 
-#: Integer registers the allocator can never assign: the hardwired
-#: zero (r31), the stack pointer (r30), and the two spill scratch
-#: registers (r28/r29).  Mirrors ``repro.codegen.regalloc``'s
-#: reservation table (a test asserts the two stay in sync; importing
-#: it here would be circular).
-RESERVED_INT_REGS = 4
-#: FP registers never assigned: the zero (f31) and the two spill
-#: scratch registers (f29/f30).
-RESERVED_FP_REGS = 3
-#: Margin below the allocatable bank size at which the list scheduler
-#: stops *adding* pressure (it keeps scheduling, just stops preferring
-#: latency-stretching candidates); covers allocator temporaries and
-#: the inexactness of the scheduler's own live estimate.
-PRESSURE_HEADROOM = 4
-
-
 @dataclass(frozen=True)
 class CacheLevelConfig:
     name: str
@@ -108,13 +92,6 @@ class MachineConfig:
     #: processors that require considerable ILP").  In-order, at most
     #: one memory operation per cycle, branches end the issue group.
     issue_width: int = 1
-
-    #: Architectural register-file sizes (Alpha: 32 + 32).  The
-    #: schedulers derive their pressure budgets from these instead of
-    #: hard-coding the machine, so a config with a smaller file
-    #: automatically throttles balanced scheduling earlier.
-    int_regs: int = 32
-    fp_regs: int = 32
 
     #: Memory model: "hierarchy" is the execution-driven 21164 model;
     #: "stochastic" reproduces the original balanced-scheduling study's
@@ -206,49 +183,12 @@ class MachineConfig:
         for op, latency in self.op_latency.items():
             if latency <= 0:
                 fail(f"op latency for {op} must be positive ({latency})")
-        if self.int_regs < RESERVED_INT_REGS + 1:
-            fail(f"int_regs {self.int_regs} leaves no allocatable "
-                 f"register after the {RESERVED_INT_REGS} reserved "
-                 f"(zero, stack pointer, spill scratch)")
-        if self.fp_regs < RESERVED_FP_REGS + 1:
-            fail(f"fp_regs {self.fp_regs} leaves no allocatable "
-                 f"register after the {RESERVED_FP_REGS} reserved "
-                 f"(zero, spill scratch)")
-        if self.pressure_limit < 1:
-            fail(f"register files ({self.int_regs} int / {self.fp_regs} "
-                 f"fp) underflow the scheduler pressure limit: "
-                 f"{self.allocatable_int_regs}/"
-                 f"{self.allocatable_fp_regs} allocatable minus "
-                 f"{PRESSURE_HEADROOM} headroom leaves nothing")
 
     #: Maximum balanced load weight (paper footnote 1: no load can take
     #: more than the 50-cycle main-memory latency to satisfy).
     @property
     def max_load_weight(self) -> int:
         return self.memory_latency
-
-    @property
-    def allocatable_int_regs(self) -> int:
-        """Integer registers the allocator can actually assign: the
-        file minus the zero register, the stack pointer, and the two
-        spill scratch registers."""
-        return self.int_regs - RESERVED_INT_REGS
-
-    @property
-    def allocatable_fp_regs(self) -> int:
-        """FP registers the allocator can assign: the file minus the
-        zero register and the two spill scratch registers."""
-        return self.fp_regs - RESERVED_FP_REGS
-
-    @property
-    def pressure_limit(self) -> int:
-        """Live-register count past which the list scheduler stops
-        admitting latency-stretching candidates: the smaller
-        allocatable bank less a headroom margin for the allocator's
-        own short-lived temporaries.  32+32 files give the
-        long-standing limit of 24."""
-        return (min(self.allocatable_int_regs, self.allocatable_fp_regs)
-                - PRESSURE_HEADROOM)
 
     @property
     def load_hit_latency(self) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Optional
 
-from ..isa import MachineProgram, OpClass, Reg
+from ..isa import SP, MachineProgram, OpClass, Reg
 from .cache import BranchPredictor, Cache, Tlb
 from .config import DEFAULT_CONFIG, MachineConfig
 from .metrics import Metrics
@@ -176,7 +176,7 @@ class Simulator:
         if slot is None:
             slot = self._new_slot(0.0 if reg.is_fp else 0)
             self._slots[reg] = slot
-            if not reg.virtual and reg.num == 30 and reg.kind == "i":
+            if reg is SP:
                 self.regs[slot] = self.stack_base
         return slot
 

@@ -30,8 +30,7 @@ def schedule_block(instrs, model: WeightModel,
         order = list_schedule(dag, model)
     else:
         weights, detail = model.weights_detailed(dag)
-        order = list_schedule_with_weights(
-            dag, weights, pressure_limit=model.config.pressure_limit)
+        order = list_schedule_with_weights(dag, weights)
         observer.annotate(scheduled_blocks=1,
                           scheduled_instrs=len(instrs),
                           dag_edges=dag.edge_count(),

@@ -16,7 +16,7 @@ scheduler; it returns a permutation of node indices.
 from __future__ import annotations
 
 from ..ir.dag import Dag
-from ..machine.config import DEFAULT_CONFIG
+from ..isa import PRESSURE_LIMIT
 from .weights import WeightModel
 
 
@@ -35,16 +35,7 @@ def priorities(dag: Dag, weights: list[float]) -> list[float]:
 
 def list_schedule(dag: Dag, model: WeightModel) -> list[int]:
     """Schedule *dag* with *model*'s weights; return the new node order."""
-    weights = model.weights(dag)
-    limit = model.config.pressure_limit
-    return list_schedule_with_weights(dag, weights, pressure_limit=limit)
-
-
-#: Default live-value throttle, derived from the default machine's
-#: register files (allocatable bank size minus headroom — 24 on the
-#: 32+32 Alpha files).  Schedulers running under a custom
-#: :class:`MachineConfig` get their limit from that config instead.
-PRESSURE_LIMIT = DEFAULT_CONFIG.pressure_limit
+    return list_schedule_with_weights(dag, model.weights(dag))
 
 
 def list_schedule_with_weights(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from ...ir.cfg import BasicBlock, Cfg
-from ...isa import Instruction, Reg
+from ...isa import ALLOCATABLE, Instruction, Reg
 from .deps import LoopDeps, LoopShape
 from .scheduler import ModuloSchedule
 from .stats import (
@@ -44,9 +44,9 @@ from .stats import (
 )
 
 #: Per-bank register budget for the kernel; past this the expansion
-#: would fight the 28/29 allocatable registers and spill inside the
-#: kernel, defeating the point.
-_BANK_BUDGET = {"i": 26, "f": 27}
+#: would fight the allocatable registers and spill inside the kernel,
+#: defeating the point.
+_BANK_BUDGET = {kind: n - 2 for kind, n in ALLOCATABLE.items()}
 
 
 @dataclass

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from ..analysis.pressure import block_pressure
 from ..ir.dag import Dag
-from ..isa import Instruction, Locality
+from ..isa import ALLOCATABLE, Instruction, Locality
 from ..machine.config import DEFAULT_CONFIG, MachineConfig
 
 
@@ -211,17 +211,13 @@ class BalancedWeights(WeightModel):
         if dag.live_out is None:
             raise ValueError("pressure feedback needs the block's "
                              "live-out set: build_dag(..., live_out=...)")
-        budget = {"i": self.config.allocatable_int_regs,
-                  "f": self.config.allocatable_fp_regs}
-        limit = self.config.pressure_limit
         for _ in range(4):
-            order = list_schedule_with_weights(dag, result,
-                                               pressure_limit=limit)
+            order = list_schedule_with_weights(dag, result)
             maxlive = block_pressure([dag.instrs[node] for node in order],
                                      dag.live_out)
             demoted = False
             for bank in ("i", "f"):
-                excess = maxlive[bank] - budget[bank]
+                excess = maxlive[bank] - ALLOCATABLE[bank]
                 if excess <= 0:
                     continue
                 boosted = sorted(

@@ -7,8 +7,7 @@ lends its register to that instruction's destination).
 
 from repro.analysis.pressure import block_pressure, cfg_pressure, over_budget
 from repro.ir import BasicBlock, Cfg
-from repro.isa import Instruction, Reg
-from repro.machine import DEFAULT_CONFIG
+from repro.isa import ALLOCATABLE, Instruction, Reg
 
 
 def vi(n):
@@ -116,8 +115,7 @@ def test_over_budget_lists_offending_banks():
 
 
 def test_over_budget_against_machine_config():
-    budget = {"i": DEFAULT_CONFIG.allocatable_int_regs,
-              "f": DEFAULT_CONFIG.allocatable_fp_regs}
+    budget = ALLOCATABLE
     fits = {"i": budget["i"], "f": budget["f"]}
     assert over_budget(fits, budget) == []
     assert over_budget({"i": budget["i"] + 1, "f": 0}, budget) == ["i"]

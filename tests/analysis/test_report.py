@@ -15,8 +15,7 @@ from repro.check import NOTE, WARNING
 from repro.harness.compile import Options, compile_source
 from repro.harness.experiment import attach_section
 from repro.ir import BasicBlock, Cfg
-from repro.isa import Instruction, Reg
-from repro.machine import DEFAULT_CONFIG
+from repro.isa import ALLOCATABLE, Instruction, Reg
 from repro.workloads import WORKLOADS
 
 TRIAD = """
@@ -123,7 +122,7 @@ def test_options_label_feeds_point_key():
 def _overpressure_cfg(n_fp=None):
     """entry -> loop (self BNE) -> exit holding n_fp FP values live."""
     if n_fp is None:
-        n_fp = DEFAULT_CONFIG.allocatable_fp_regs + 1
+        n_fp = ALLOCATABLE["f"] + 1
     vi0 = Reg("i", 1, virtual=True)
     vf = [Reg("f", k, virtual=True) for k in range(n_fp + 1)]
     cfg = Cfg(entry="entry")

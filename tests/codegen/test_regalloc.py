@@ -1,9 +1,10 @@
 """Register allocation: correctness, spilling, conventions."""
 
 from repro.codegen.lower import lower
-from repro.codegen.regalloc import N_ALLOCATABLE, allocate_registers
+from repro.codegen.regalloc import allocate_registers
 from repro.frontend import frontend
 from repro.harness.compile import Options, compile_source
+from repro.isa import ALLOCATABLE
 from repro.machine import Simulator
 from repro.sched import BalancedWeights, schedule_cfg
 
@@ -41,7 +42,7 @@ def test_reserved_registers_never_allocated():
             for reg in instr.defs():
                 if instr.is_spill:
                     continue
-                assert reg.num < N_ALLOCATABLE[reg.kind], instr.format()
+                assert reg.num < ALLOCATABLE[reg.kind], instr.format()
 
 
 def _pressure_source(n_values: int) -> str:

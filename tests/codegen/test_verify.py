@@ -17,10 +17,10 @@ def program_of(instrs):
 
 def test_clean_program_passes():
     program = program_of([
-        Instruction("LDI", dest=v(0), imm=1),
+        Instruction("LDI", dest=ireg(0), imm=1),
         Instruction("HALT"),
     ])
-    verify_program(program, allow_virtual=True)
+    verify_program(program)
 
 
 def test_virtual_registers_rejected_post_allocation():

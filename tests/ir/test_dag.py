@@ -90,11 +90,6 @@ class TestMemoryDependences:
         dag = build_dag([st(1, 0, element=2), st(2, 0, element=2)])
         assert dag.succs[0][1] == MEM
 
-    def test_custom_alias_oracle(self):
-        dag = build_dag([st(1, 0, element=0), ld(2, 0, element=0)],
-                        may_alias=lambda a, b: False)
-        assert 1 not in dag.succs[0]
-
 
 class TestLocalityArcs:
     def test_miss_orders_hits_in_same_group(self):

@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.isa import OPCODES, Instruction, assemble
+from repro.isa import (
+    ALLOCATABLE,
+    OPCODES,
+    PRESSURE_LIMIT,
+    SPILL_SCRATCH,
+    Instruction,
+    assemble,
+)
 from repro.machine import (
     DEFAULT_CONFIG,
     INSTRUCTION_LATENCIES,
@@ -173,52 +180,22 @@ class TestValidate:
 
 
 class TestRegisterFileDerivation:
-    """allocatable banks and the pressure limit derive from the files."""
+    """The register budgets derive from the one table in ``repro.isa``."""
 
     def test_default_allocatable_counts(self):
-        assert DEFAULT_CONFIG.allocatable_int_regs == 28
-        assert DEFAULT_CONFIG.allocatable_fp_regs == 29
+        assert ALLOCATABLE["i"] == 28
+        assert ALLOCATABLE["f"] == 29
 
     def test_default_pressure_limit_is_24(self):
         # 32+32 files: min(28, 29) - 4 headroom.
-        assert DEFAULT_CONFIG.pressure_limit == 24
-
-    def test_pressure_limit_tracks_file_sizes(self):
-        from repro.machine.config import (
-            PRESSURE_HEADROOM,
-            RESERVED_FP_REGS,
-            RESERVED_INT_REGS,
-        )
-        big = replace(DEFAULT_CONFIG, int_regs=64, fp_regs=48)
-        assert big.allocatable_int_regs == 64 - RESERVED_INT_REGS
-        assert big.allocatable_fp_regs == 48 - RESERVED_FP_REGS
-        assert big.pressure_limit == (
-            min(big.allocatable_int_regs, big.allocatable_fp_regs)
-            - PRESSURE_HEADROOM)
-
-    def test_tiny_register_files_rejected(self):
-        with pytest.raises(ConfigError, match="int_regs"):
-            replace(DEFAULT_CONFIG, int_regs=4).validate()
-        with pytest.raises(ConfigError, match="fp_regs"):
-            replace(DEFAULT_CONFIG, fp_regs=3).validate()
-
-    def test_pressure_limit_underflow_rejected(self):
-        # 8+8 files leave 4/5 allocatable: minus 4 headroom = 0.
-        with pytest.raises(ConfigError, match="pressure limit"):
-            replace(DEFAULT_CONFIG, int_regs=8, fp_regs=8).validate()
+        assert PRESSURE_LIMIT == 24
 
     def test_reserved_counts_match_allocator_table(self):
-        # config.RESERVED_* mirror regalloc's reservation scheme:
-        # int bank reserves zero + SP + spill scratch, fp bank zero +
-        # spill scratch; the allocatable counts must agree exactly
-        # with the allocator's free-list sizes.
-        from repro.codegen.regalloc import N_ALLOCATABLE, SPILL_SCRATCH
-        from repro.machine.config import (
-            RESERVED_FP_REGS,
-            RESERVED_INT_REGS,
-        )
-        assert RESERVED_INT_REGS == len(SPILL_SCRATCH["i"]) + 2
-        assert RESERVED_FP_REGS == len(SPILL_SCRATCH["f"]) + 1
-        assert N_ALLOCATABLE == {
-            "i": DEFAULT_CONFIG.allocatable_int_regs,
-            "f": DEFAULT_CONFIG.allocatable_fp_regs}
+        # The int bank reserves zero + SP + spill scratch, the fp bank
+        # zero + spill scratch, out of 32 each; the allocator's free
+        # lists and scratch are that same table.
+        from repro.codegen import regalloc
+        assert 32 - ALLOCATABLE["i"] == len(SPILL_SCRATCH["i"]) + 2
+        assert 32 - ALLOCATABLE["f"] == len(SPILL_SCRATCH["f"]) + 1
+        assert regalloc.ALLOCATABLE is ALLOCATABLE
+        assert regalloc.SPILL_SCRATCH is SPILL_SCRATCH

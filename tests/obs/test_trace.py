@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
+
+import pytest
 
 from repro.__main__ import main
 from repro.obs import Observer, TracingObserver
@@ -122,3 +125,23 @@ def test_profile_bills_engine_build_to_sim_build(tmp_path, capsys):
     build, simulate = spans["sim-build"], spans["simulate"]
     assert build["depth"] == simulate["depth"] == 0
     assert build["ts_us"] + build["dur_us"] <= simulate["ts_us"]
+
+
+def test_profile_phases_are_self_times(tmp_path, capsys):
+    """``repro profile``'s phase table prints each span name's self
+    time, so its rows add up to the traced total: the top-level spans,
+    each counted once."""
+    assert main(["profile", "ora", "--out", str(tmp_path / "p")]) == 0
+    table = re.split(r"^pipeline phases.*:$", capsys.readouterr().out,
+                     flags=re.M)[1]
+    rows = re.findall(r"^  (\S+)\s+x(\d+)\s+([\d.]+) ms$", table, re.M)
+    spans = [json.loads(line) for line in
+             (tmp_path / "p.jsonl").read_text().splitlines()]
+    assert {name: int(count) for name, count, _ in rows} == {
+        name: sum(1 for row in spans if row["name"] == name)
+        for name in {row["name"] for row in spans}}
+    traced_ms = sum(row["dur_us"] for row in spans
+                    if row["depth"] == 0) / 1e3
+    # Each row is rounded to 0.01 ms.
+    assert sum(float(ms) for _, _, ms in rows) == pytest.approx(
+        traced_ms, abs=0.005 * len(rows))

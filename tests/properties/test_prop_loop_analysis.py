@@ -30,7 +30,7 @@ from repro.harness.compile import compile_source
 from repro.harness.experiment import SCHEDULERS, options_for
 from repro.ir.cfg import Cfg
 from repro.ir.loops import find_loops
-from repro.machine import DEFAULT_CONFIG
+from repro.isa import ALLOCATABLE
 from repro.workloads import WORKLOAD_ORDER, WORKLOADS
 from tests.analysis.test_report import _overpressure_cfg
 
@@ -76,7 +76,7 @@ def ref_loop_reports(cfg: Cfg, pressure: dict[str, dict[str, int]],
     return reports
 
 
-def ref_lint_loop_analysis(cfg: Cfg, config=None,
+def ref_lint_loop_analysis(cfg: Cfg,
                            pass_name: str = "analyze") -> list[Diagnostic]:
     """Dependence/pressure lints over innermost single-block loops.
 
@@ -88,12 +88,8 @@ def ref_lint_loop_analysis(cfg: Cfg, config=None,
     from repro.analysis.pressure import block_pressure, over_budget
     from repro.ir.liveness import liveness
     from repro.ir.loops import find_loops
-    from repro.machine.config import DEFAULT_CONFIG
 
-    if config is None:
-        config = DEFAULT_CONFIG
-    budget = {"i": config.allocatable_int_regs,
-              "f": config.allocatable_fp_regs}
+    budget = ALLOCATABLE
     diags: list[Diagnostic] = []
     loops = find_loops(cfg)
     _live_in, live_out = liveness(cfg)
@@ -133,14 +129,12 @@ def ref_lint_loop_analysis(cfg: Cfg, config=None,
 
 
 # ============================================================ the checks
-def _assert_same(cfg: Cfg, config=DEFAULT_CONFIG) -> dict:
-    report = analyze_cfg(cfg, config)
-    budget = {"i": config.allocatable_int_regs,
-              "f": config.allocatable_fp_regs}
+def _assert_same(cfg: Cfg) -> dict:
+    report = analyze_cfg(cfg)
     assert report["loops"] == ref_loop_reports(cfg, cfg_pressure(cfg),
-                                               budget)
-    expected = ref_lint_loop_analysis(cfg, config)
-    assert lint_loop_analysis(cfg, config) == expected
+                                               ALLOCATABLE)
+    expected = ref_lint_loop_analysis(cfg)
+    assert lint_loop_analysis(cfg) == expected
     assert report["diagnostics"] == [diag.render() for diag in expected]
     return report
 
@@ -154,7 +148,7 @@ def test_workload_loops_match_the_reference(scheduler, config):
         snapshot = _PreRegallocSnapshot()
         compile_source(WORKLOADS[name].source, options, name,
                        validator=snapshot)
-        report = _assert_same(snapshot.cfg, options.config)
+        report = _assert_same(snapshot.cfg)
         loops += len(report["loops"])
         notes += len(report["diagnostics"])
     # The comparison is not vacuous: every grid point has loops, and

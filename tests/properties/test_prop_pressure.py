@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.pressure import BANKS, block_pressure
-from repro.codegen.regalloc import N_ALLOCATABLE, allocate_registers
+from repro.codegen.regalloc import allocate_registers
 from repro.ir import BasicBlock, Cfg
-from repro.isa import Instruction, Reg
+from repro.isa import ALLOCATABLE, Instruction, Reg
 
 
 @st.composite
@@ -64,7 +64,7 @@ def one_block_programs(draw):
 @settings(max_examples=300, deadline=None)
 def test_block_pressure_is_the_allocators_register_count(instrs):
     pressure = block_pressure(instrs, ())
-    assume(all(pressure[bank] <= N_ALLOCATABLE[bank] for bank in BANKS))
+    assume(all(pressure[bank] <= ALLOCATABLE[bank] for bank in BANKS))
     cfg = Cfg(entry="entry")
     cfg.add_block(BasicBlock("entry", list(instrs)))
     allocation = allocate_registers(cfg)

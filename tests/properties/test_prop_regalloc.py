@@ -23,14 +23,18 @@ must emit the same instructions, field for field.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.regalloc import (
-    N_ALLOCATABLE,
-    SPILL_SCRATCH,
-    AllocationResult,
-    RegisterAllocator,
-)
+from repro.codegen.regalloc import AllocationResult, RegisterAllocator
 from repro.ir import BasicBlock, Cfg
-from repro.isa import SP, ZERO, Instruction, Locality, MemRef, Reg
+from repro.isa import (
+    ALLOCATABLE,
+    SP,
+    SPILL_SCRATCH,
+    ZERO,
+    Instruction,
+    Locality,
+    MemRef,
+    Reg,
+)
 
 
 class RefAllocator(RegisterAllocator):
@@ -39,8 +43,8 @@ class RefAllocator(RegisterAllocator):
     def allocate(self):
         intervals = self._intervals()
         order = sorted(intervals, key=lambda r: intervals[r][0])
-        free = {"i": [Reg("i", n) for n in range(N_ALLOCATABLE["i"])],
-                "f": [Reg("f", n) for n in range(N_ALLOCATABLE["f"])]}
+        free = {"i": [Reg("i", n) for n in range(ALLOCATABLE["i"])],
+                "f": [Reg("f", n) for n in range(ALLOCATABLE["f"])]}
         active = {"i": [], "f": []}
         assignment = {}
         spilled = {}

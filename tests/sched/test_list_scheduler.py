@@ -108,7 +108,7 @@ def test_pressure_guard_limits_simultaneous_live_values():
                 del pending_consumer[reg]
         if ins.is_load:
             pending_consumer[ins.dest] = node
-    from repro.sched.list_scheduler import PRESSURE_LIMIT
+    from repro.isa import PRESSURE_LIMIT
     assert max_live <= PRESSURE_LIMIT + 2   # small slack at the boundary
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.harness.compile import Options, compile_source
 from repro.ir import build_dag
-from repro.isa import Instruction, MemRef, Reg
+from repro.isa import ALLOCATABLE, Instruction, MemRef, Reg
 from repro.machine import DEFAULT_CONFIG
 from repro.sched import BalancedWeights
 from repro.workloads import WORKLOADS, parallel_loads_dag
@@ -41,7 +41,7 @@ def _dag(instrs, held=()):
 def _overflow_dag(n_loads=None, n_alu=8, held=()):
     """Independent FP loads, all live to the block end, over budget."""
     if n_loads is None:
-        n_loads = DEFAULT_CONFIG.allocatable_fp_regs + 5
+        n_loads = ALLOCATABLE["f"] + 5
     instrs = [Instruction("LDI", dest=vi(9000), imm=64)]
     for k in range(n_loads):
         instrs.append(_fld(k, 9000, element=k))
@@ -72,8 +72,7 @@ def test_feedback_counts_values_live_across_the_block():
     # Four loads fit the FP bank on their own; with the rest of the
     # bank held by values live across the block, they overflow it.
     floor = float(DEFAULT_CONFIG.load_hit_latency)
-    held = [vf(500 + k) for k in range(DEFAULT_CONFIG.allocatable_fp_regs
-                                       - 2)]
+    held = [vf(500 + k) for k in range(ALLOCATABLE["f"] - 2)]
     alone = _overflow_dag(n_loads=4)
     crowded = _overflow_dag(n_loads=4, held=held)
     assert BalancedWeights(pressure=True).weights(alone) == \
@@ -102,7 +101,7 @@ def test_feedback_prefers_lowest_weighted_loads():
     # Loads with more parallelism (higher weight) keep their boost
     # longest: build an overflow DAG where one load also feeds a long
     # consumer chain (serial -> lower weight than the parallel rest).
-    n = DEFAULT_CONFIG.allocatable_fp_regs + 2
+    n = ALLOCATABLE["f"] + 2
     instrs = [Instruction("LDI", dest=vi(9000), imm=64)]
     for k in range(n):
         instrs.append(_fld(k, 9000, element=k))
